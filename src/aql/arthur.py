@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
-from .halfint import CharMultiset, HalfIntLike, as_halfint, half
-from .parabolic import ThetaStableAlgebra, _as_lambda, _m_coeffs
+from .halfint import CharMultiset, HalfIntLike, as_halfint, exact_int, half
+from .parabolic import ThetaStableAlgebra, _as_lambda, m_coeffs
 
 
 class ParityError(ValueError):
@@ -34,8 +34,7 @@ class ParameterRestriction:
     def __init__(self, summands: Iterable[Tuple[HalfIntLike, int]] = ()):
         items = []
         for k, n in summands:
-            n = int(n)
-            if n <= 0:
+            if exact_int(n) <= 0:
                 raise ValueError(f"summand dimension must be positive, got {n}")
             items.append((as_halfint(k), n))
         items.sort(key=lambda kn: (-kn[0].twice, -kn[1]))
@@ -73,6 +72,8 @@ class ChiPair:
     n_prime: int
 
     def __post_init__(self):
+        for value in (self.alpha1, self.alpha2, self.n, self.n_prime):
+            exact_int(value)
         if (self.alpha1 - self.n) % 2 != 0:
             raise ParityError(
                 f"alpha(chi1)={self.alpha1} must have the parity of n={self.n}"
@@ -100,11 +101,6 @@ def inf_char_param(psi: ParameterRestriction) -> CharMultiset:
     return CharMultiset(entries)
 
 
-def m_coeffs(q: ThetaStableAlgebra) -> Tuple[int, ...]:
-    """m_i = -(n_1+...+n_{i-1}) + (n_{i+1}+...+n_r) for each block."""
-    return _m_coeffs(q.levi_sizes)
-
-
 def parity_check(ks: Sequence[HalfIntLike], q: ThetaStableAlgebra) -> bool:
     """Whether per-block exponents extend over the full Weil group:
     2*k_i must have the parity of n - n_i for every block."""
@@ -119,7 +115,7 @@ def psi_lambda_q(q: ThetaStableAlgebra, lam=None) -> ParameterRestriction:
     """The parameter attached to (q, lambda): block i contributes
     mu^(lambda_i + m_i/2) (x) sigma_{n_i}."""
     lam = _as_lambda(q, lam)
-    ms = _m_coeffs(q.levi_sizes)
+    ms = m_coeffs(q)
     return ParameterRestriction(
         (half(2 * lam_i + m_i), n_i)
         for lam_i, m_i, n_i in zip(lam.values, ms, q.levi_sizes)

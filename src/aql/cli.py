@@ -5,7 +5,7 @@ invariants of one module, packet listing, lift construction and
 verification, convergence checks and the atlas table.  Output is
 deterministic: the same argv always produces byte-identical stdout.
 Exit codes: 0 success / verified, 1 a verification returned false,
-2 invalid input.
+2 invalid input, 3 internal error (an unexpected exception).
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import sys
 from typing import List, Optional
 
 from . import __version__
-from .arthur import ParityError, psi_lambda_q
+from .arthur import psi_lambda_q
 from .convergence import ATLAS_TSV_HEADER, atlas, is_convergent
 from .parabolic import (
-    AlignmentError,
     LambdaCharacter,
     ThetaStableAlgebra,
+    _as_lambda,
     cohomological_degree,
     enumerate_packet,
     inf_char_aq,
@@ -34,25 +34,18 @@ from .partitions import enumerate_compatible
 from .thetalift import DEFAULT_BOUND, build_source, full_report
 
 BOUND_ENV = "AQL_BOUND"
+LAMBDA_HELP = (
+    "per-block character, e.g. '2,1,0' (default 0); attach negative values"
+    " with '=', as in --lambda=-1,-2"
+)
 
 
 def _emit(doc) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _parse_blocks(text: str) -> ThetaStableAlgebra:
-    return ThetaStableAlgebra.parse(text)
-
-
 def _parse_lambda(text: Optional[str], q: ThetaStableAlgebra) -> LambdaCharacter:
-    if text is None:
-        return LambdaCharacter.zero(q)
-    lam = LambdaCharacter.parse(text)
-    if len(lam.values) != q.r:
-        raise AlignmentError(
-            f"--lambda has {len(lam.values)} values for {q.r} blocks"
-        )
-    return lam
+    return _as_lambda(q, None if text is None else LambdaCharacter.parse(text))
 
 
 def _parse_chi(text: Optional[str]):
@@ -86,7 +79,7 @@ def cmd_partitions_enumerate(args) -> int:
 
 
 def cmd_aq(args) -> int:
-    q = _parse_blocks(args.blocks)
+    q = ThetaStableAlgebra.parse(args.blocks)
     lam = _parse_lambda(getattr(args, "lambda"), q)
     pair = partitions_from_blocks(q)
     R, R_plus, R_minus = cohomological_degree(q)
@@ -111,7 +104,7 @@ def cmd_aq(args) -> int:
 
 
 def cmd_packet(args) -> int:
-    q = _parse_blocks(args.blocks)
+    q = ThetaStableAlgebra.parse(args.blocks)
     lam = _parse_lambda(getattr(args, "lambda"), q)
     members = enumerate_packet(q, lam)
     _emit(
@@ -126,7 +119,7 @@ def cmd_packet(args) -> int:
 
 
 def cmd_lift_construct(args) -> int:
-    q = _parse_blocks(args.blocks)
+    q = ThetaStableAlgebra.parse(args.blocks)
     lam = _parse_lambda(getattr(args, "lambda"), q)
     datum = build_source(q, lam, args.r0, _parse_chi(args.chi))
     _emit(datum.to_json())
@@ -134,30 +127,21 @@ def cmd_lift_construct(args) -> int:
 
 
 def cmd_lift_verify(args) -> int:
-    q = _parse_blocks(args.blocks)
+    q = ThetaStableAlgebra.parse(args.blocks)
     lam = _parse_lambda(getattr(args, "lambda"), q)
     report = full_report(q, lam, args.r0, _parse_chi(args.chi), _default_bound(args))
     if args.json:
         _emit(report.to_json())
     else:
-        for name, ok in (
-            ("parameter_ok", report.parameter_ok),
-            ("infchar_ok", report.infchar_ok),
-            ("ktype_ok", report.ktype_ok),
-        ):
-            sys.stdout.write(f"{name}: {'true' if ok else 'false'}\n")
-        sys.stdout.write(
-            f"mindegree_ok: {'true' if report.mindegree_ok else 'false'}"
-            f" (bound {report.bound})\n"
-        )
-        sys.stdout.write(
-            "all checks passed\n" if report.all_ok else "verification failed\n"
-        )
+        lines = [f"{name}: {'true' if ok else 'false'}" for name, ok in report.checks.items()]
+        lines[-1] += f" (bound {report.bound})"
+        lines.append("all checks passed" if report.all_ok else "verification failed")
+        sys.stdout.write("".join(line + "\n" for line in lines))
     return 0 if report.all_ok else 1
 
 
 def cmd_convergence_check(args) -> int:
-    q = _parse_blocks(args.blocks)
+    q = ThetaStableAlgebra.parse(args.blocks)
     ok, cert = is_convergent(q, lax=args.lax)
     _emit(
         {
@@ -206,12 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_aq = sub.add_parser("aq", help="invariants of the module of (blocks, lambda)")
     p_aq.add_argument("--blocks", required=True, help='block list "a1,b1;a2,b2;..."')
-    p_aq.add_argument("--lambda", help="per-block character, e.g. '2,1,0' (default 0)")
+    p_aq.add_argument("--lambda", help=LAMBDA_HELP)
     p_aq.set_defaults(func=cmd_aq)
 
     p_packet = sub.add_parser("packet", help="enumerate the packet of (blocks, lambda)")
     p_packet.add_argument("--blocks", required=True)
-    p_packet.add_argument("--lambda")
+    p_packet.add_argument("--lambda", help=LAMBDA_HELP)
     p_packet.set_defaults(func=cmd_packet)
 
     p_lift = sub.add_parser("lift", help="theta-lift construction and verification")
@@ -219,9 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("construct", cmd_lift_construct), ("verify", cmd_lift_verify)):
         p = lsub.add_parser(name)
         p.add_argument("--blocks", required=True)
-        p.add_argument("--lambda")
+        p.add_argument("--lambda", help=LAMBDA_HELP)
         p.add_argument("--r0", type=int, help="1-based distinguished block (default: first maximal)")
-        p.add_argument("--chi", help="character exponents 'a1,a2' (default: minimal parities)")
+        p.add_argument(
+            "--chi",
+            help="character exponents 'a1,a2' (default: minimal parities);"
+            " attach negative values with '=', as in --chi=-1,1",
+        )
         if name == "verify":
             p.add_argument("--bound", type=int, help=f"cone bound for the degree check (default {DEFAULT_BOUND}, env {BOUND_ENV})")
             p.add_argument("--json", action="store_true", help="full JSON report")
@@ -257,9 +245,12 @@ def run(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write(json.dumps(meta) + "\n")
     try:
         return args.func(args)
-    except (ValueError, ParityError, AlignmentError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # exit 1 would read as "verification false"
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 def main() -> None:

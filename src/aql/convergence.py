@@ -22,14 +22,12 @@ from .parabolic import (
     enumerate_packet,
 )
 from .partitions import enumerate_compatible
+from .thetalift import _source_algebra
 
 
 def predecessor(q: ThetaStableAlgebra, r0: int) -> ThetaStableAlgebra:
-    """Remove block r0 and reflect the later blocks, canonicalized."""
-    if not 1 <= r0 <= q.r:
-        raise ValueError(f"r0={r0} out of range 1..{q.r}")
-    blocks = list(q.blocks[: r0 - 1]) + [(b, a) for a, b in q.blocks[r0:]]
-    return ThetaStableAlgebra(blocks).canonicalize()
+    """The lift source's block list at r0, canonicalized."""
+    return _source_algebra(q, r0).canonicalize()
 
 
 @dataclass(frozen=True)

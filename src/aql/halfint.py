@@ -13,6 +13,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 
+def exact_int(value) -> int:
+    """Return value unchanged if it is an int; floats and bools raise TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an int, got {value!r}")
+    return value
+
+
 class HalfInt:
     """An exact element of (1/2)Z.
 
@@ -26,10 +33,8 @@ class HalfInt:
     def __init__(self, value: Union["HalfInt", int]):
         if isinstance(value, HalfInt):
             self.twice = value.twice
-        elif isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"cannot build an exact half-integer from {value!r}")
         else:
-            self.twice = 2 * value
+            self.twice = 2 * exact_int(value)
 
     @classmethod
     def from_twice(cls, twice: int) -> "HalfInt":
@@ -115,9 +120,10 @@ class HalfInt:
         return self.twice >= self._twice_of(other)
 
     def __hash__(self):
+        # integral values hash like the equal int; a float would overflow
         if self.twice % 2 == 0:
             return hash(self.twice // 2)
-        return hash(self.twice / 2)
+        return hash((self.twice, 2))
 
     def __str__(self):
         if self.twice % 2 == 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .halfint import CharMultiset, HalfInt, Weight, half
+from .halfint import CharMultiset, HalfInt, Weight, exact_int, half
 from .partitions import FramedPair, IncompatiblePairError, Partition, conjugate
 
 
@@ -56,8 +56,10 @@ class ThetaStableAlgebra:
 
     def __init__(self, blocks: Iterable[Sequence[int]] = ()):
         norm = []
-        for blk in blocks:
-            ai, bi = int(blk[0]), int(blk[1])
+        for ai, bi in blocks:
+            # exact_int inlined: packets build many block lists
+            if type(ai) is not int or type(bi) is not int:
+                raise TypeError(f"block sizes must be ints, got ({ai!r},{bi!r})")
             if ai < 0 or bi < 0 or (ai == 0 and bi == 0):
                 raise ValueError(f"invalid block ({ai},{bi})")
             norm.append((ai, bi))
@@ -130,7 +132,7 @@ class LambdaCharacter:
     values: tuple
 
     def __init__(self, values: Iterable[int] = ()):
-        vals = tuple(int(v) for v in values)
+        vals = tuple(exact_int(v) for v in values)
         if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
             raise ValueError(f"character values must be weakly decreasing: {vals}")
         object.__setattr__(self, "values", vals)
@@ -280,11 +282,12 @@ def two_rho_up(q: ThetaStableAlgebra) -> Weight:
 
 
 @lru_cache(maxsize=None)
-def _m_coeffs(levi_sizes: Tuple[int, ...]) -> Tuple[int, ...]:
-    total = sum(levi_sizes)
+def m_coeffs(q: ThetaStableAlgebra) -> Tuple[int, ...]:
+    """m_i = -(n_1+...+n_{i-1}) + (n_{i+1}+...+n_r) for each block."""
+    total = q.total
     prefix = 0
     out = []
-    for n_i in levi_sizes:
+    for n_i in q.levi_sizes:
         out.append(total - n_i - 2 * prefix)
         prefix += n_i
     return tuple(out)
@@ -299,7 +302,7 @@ def inf_char_aq(q: ThetaStableAlgebra, lam=None) -> CharMultiset:
     Levi, so no positive system is ever chosen.
     """
     lam = _as_lambda(q, lam)
-    ms = _m_coeffs(q.levi_sizes)
+    ms = m_coeffs(q)
     entries = []
     for lam_i, m_i, n_i in zip(lam.values, ms, q.levi_sizes):
         center = 2 * lam_i + m_i
@@ -387,19 +390,26 @@ def enumerate_packet(q: ThetaStableAlgebra, lam=None):
     return members
 
 
-def degree(w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]] = None) -> HalfInt:
-    """Fock-space degree of a weight relative to a dual-pair partner.
+def recentred(
+    w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]] = None
+) -> Tuple[List[int], List[int]]:
+    """Doubled coordinates of w relative to a dual-pair partner.
 
-    Coordinates are recentered by chi1_alpha/2 plus (a-b)/2 on the x-part
+    Coordinates are recentred by chi1_alpha/2 plus (a-b)/2 on the x-part
     and (b-a)/2 on the y-part, where (a, b) is the partner signature
-    (`frame`); the degree is the sum of absolute recentered coordinates.
-    With no partner given, the weight's own signature is used.
+    (`frame`).  With no partner given, the weight's own signature is used.
     """
     fa, fb = frame if frame is not None else w.signature
     cx = chi1_alpha + (fa - fb)
     cy = chi1_alpha + (fb - fa)
-    total = sum(abs(v.twice - cx) for v in w.x) + sum(abs(v.twice - cy) for v in w.y)
-    return half(total)
+    return [v.twice - cx for v in w.x], [v.twice - cy for v in w.y]
+
+
+def degree(w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]] = None) -> HalfInt:
+    """Fock-space degree of a weight relative to a dual-pair partner: the
+    sum of the absolute recentred coordinates."""
+    rx, ry = recentred(w, chi1_alpha, frame)
+    return half(sum(map(abs, rx)) + sum(map(abs, ry)))
 
 
 def enumerate_standard(a: int, b: int) -> List[ThetaStableAlgebra]:

@@ -37,11 +37,12 @@ from .parabolic import (
     LambdaCharacter,
     ThetaStableAlgebra,
     _as_lambda,
-    _m_coeffs,
     degree,
     inf_char_aq,
     k_types_bounded,
     lowest_k_type,
+    m_coeffs,
+    recentred,
 )
 
 
@@ -106,17 +107,22 @@ class LiftReport:
     details: dict = field(compare=False)
 
     @property
+    def checks(self) -> dict:
+        """The four verdicts by name, in report order."""
+        return {
+            "parameter_ok": self.parameter_ok,
+            "infchar_ok": self.infchar_ok,
+            "ktype_ok": self.ktype_ok,
+            "mindegree_ok": self.mindegree_ok,
+        }
+
+    @property
     def all_ok(self) -> bool:
-        return self.parameter_ok and self.infchar_ok and self.ktype_ok and self.mindegree_ok
+        return all(self.checks.values())
 
     def to_json(self) -> dict:
         return {
-            "checks": {
-                "parameter_ok": self.parameter_ok,
-                "infchar_ok": self.infchar_ok,
-                "ktype_ok": self.ktype_ok,
-                "mindegree_ok": self.mindegree_ok,
-            },
+            "checks": self.checks,
             "bound": self.bound,
             "datum": self.datum.to_json(),
             "details": self.details,
@@ -142,7 +148,14 @@ def _resolve_chi(chi, n: int, n_prime: int) -> ChiPair:
             )
         return chi
     a1, a2 = chi
-    return ChiPair(int(a1), int(a2), n, n_prime)
+    return ChiPair(a1, a2, n, n_prime)
+
+
+def _source_algebra(q: ThetaStableAlgebra, r0: int) -> ThetaStableAlgebra:
+    """Block r0 removed and the later blocks reflected, left unmerged."""
+    if not 1 <= r0 <= q.r:
+        raise ValueError(f"r0={r0} out of range 1..{q.r}")
+    return ThetaStableAlgebra(list(q.blocks[: r0 - 1]) + [(b, a) for a, b in q.blocks[r0:]])
 
 
 def build_source(
@@ -164,18 +177,14 @@ def build_source(
         if not choices:
             raise ValueError("empty algebra has no distinguished block")
         r0 = choices[0]
-    if not 1 <= r0 <= q.r:
-        raise ValueError(f"r0={r0} out of range 1..{q.r}")
+    source_q = _source_algebra(q, r0)
     sizes = q.levi_sizes
     n = q.total
     n_r0 = sizes[r0 - 1]
     n_prime = n - n_r0
     chi = _resolve_chi(chi, n, n_prime)
-    ms = _m_coeffs(sizes)
-    m_r0 = ms[r0 - 1]
+    m_r0 = m_coeffs(q)[r0 - 1]
     lam_r0 = lam.values[r0 - 1]
-
-    source_blocks = list(q.blocks[: r0 - 1]) + [(b, a) for a, b in q.blocks[r0:]]
     lam_prime: List[int] = []
     for i, lam_i in enumerate(lam.values, start=1):
         if i == r0:
@@ -195,42 +204,41 @@ def build_source(
         target_lambda=lam,
         r0=r0,
         chi=chi,
-        source_q=ThetaStableAlgebra(source_blocks),
+        source_q=source_q,
         source_lambda=LambdaCharacter(lam_prime),
         det_shift=half(2 * lam_r0 + m_r0 - chi.alpha2),
         mslk=(m, s, k, l),
     )
 
 
-def verify_parameter_identity(d: LiftDatum) -> bool:
-    """Lifted source parameter == det-twisted target parameter, exactly."""
+def _parameter_check(d: LiftDatum):
+    """(verdict, lifted source parameter, det-twisted target parameter)."""
     lifted = theta_lift_param(
         psi_lambda_q(d.source_q, d.source_lambda), d.chi, d.target_q.total
     )
     twisted = twist(psi_lambda_q(d.target_q, d.target_lambda), -d.det_shift)
-    return lifted == twisted
+    return lifted == twisted, lifted, twisted
 
 
-def _lifted_inf_char(d: LiftDatum) -> CharMultiset:
-    src = inf_char_aq(d.source_q, d.source_lambda)
+def verify_parameter_identity(d: LiftDatum) -> bool:
+    """Lifted source parameter == det-twisted target parameter, exactly."""
+    return _parameter_check(d)[0]
+
+
+def _inf_char_check(d: LiftDatum):
+    """(verdict, lifted source infinitesimal character, target one)."""
     n_r0 = d.target_q.levi_sizes[d.r0 - 1]
     chi_jump = d.chi.alpha2 - d.chi.alpha1
-    entries = [half(v.twice + chi_jump) for v in src]
+    entries = [half(v.twice + chi_jump) for v in inf_char_aq(d.source_q, d.source_lambda)]
     entries.extend(half(d.chi.alpha2 + n_r0 + 1 - 2 * i) for i in range(1, n_r0 + 1))
-    return CharMultiset(entries).shifted(d.det_shift)
+    lifted = CharMultiset(entries).shifted(d.det_shift)
+    target = inf_char_aq(d.target_q, d.target_lambda)
+    return lifted == target, lifted, target
 
 
 def verify_inf_char(d: LiftDatum) -> bool:
     """Composition rule for infinitesimal characters lands on the target."""
-    return _lifted_inf_char(d) == inf_char_aq(d.target_q, d.target_lambda)
-
-
-def _residuals(w: Weight, chi1_alpha: int, frame: Tuple[int, int]):
-    """Doubled recentered coordinates of w relative to a partner signature."""
-    fa, fb = frame
-    rx = [v.twice - chi1_alpha - (fa - fb) for v in w.x]
-    ry = [v.twice - chi1_alpha - (fb - fa) for v in w.y]
-    return rx, ry
+    return _inf_char_check(d)[0]
 
 
 def _split_tails(res: Sequence[int]) -> Tuple[List[int], List[int]]:
@@ -253,7 +261,7 @@ def howe_type_map(mu_prime: Weight, target_sig: Tuple[int, int], chi: ChiPair) -
     """
     a, b = target_sig
     a_src, b_src = mu_prime.signature
-    rx, ry = _residuals(mu_prime, chi.alpha1, target_sig)
+    rx, ry = recentred(mu_prime, chi.alpha1, target_sig)
     pos_x, neg_x = _split_tails(rx)
     pos_y, neg_y = _split_tails(ry)
     t, u, v, w = len(pos_x), len(neg_x), len(pos_y), len(neg_y)
@@ -268,46 +276,52 @@ def howe_type_map(mu_prime: Weight, target_sig: Tuple[int, int], chi: ChiPair) -
     return Weight(tuple(half(v2) for v2 in out_x), tuple(half(v2) for v2 in out_y))
 
 
-def _zones_ok(d: LiftDatum) -> bool:
-    """Source lowest K-type decomposes with tail groups sized (k,s,m,l):
-    k non-negative then s non-positive x-residuals, m non-negative then l
-    non-positive y-residuals."""
+def _k_type_check(d: LiftDatum):
+    """(verdict, source lowest K-type, its twisted image or None, target
+    lowest K-type).  The source lowest K-type must decompose with tail
+    groups sized (k,s,m,l): k non-negative then s non-positive x-residuals,
+    m non-negative then l non-positive y-residuals."""
     m, s, k, l = d.mslk
     low = lowest_k_type(d.source_q, d.source_lambda)
-    rx, ry = _residuals(low, d.chi.alpha1, d.target_signature)
-    if len(rx) != k + s or len(ry) != m + l:
-        return False
-    return (
-        all(v >= 0 for v in rx[:k])
+    rx, ry = recentred(low, d.chi.alpha1, d.target_signature)
+    zones_ok = (
+        len(rx) == k + s
+        and len(ry) == m + l
+        and all(v >= 0 for v in rx[:k])
         and all(v <= 0 for v in rx[k:])
         and all(v >= 0 for v in ry[:m])
         and all(v <= 0 for v in ry[m:])
     )
+    try:
+        mapped = shift(howe_type_map(low, d.target_signature, d.chi), d.det_shift)
+    except HoweBoundError:
+        mapped = None
+    target = lowest_k_type(d.target_q, d.target_lambda)
+    return zones_ok and mapped == target, low, mapped, target
 
 
 def verify_k_type(d: LiftDatum) -> bool:
     """Decomposition sizes match (k,s,m,l) and the mapped lowest K-type,
     after the det twist, equals the target lowest K-type."""
-    if not _zones_ok(d):
-        return False
-    low = lowest_k_type(d.source_q, d.source_lambda)
-    try:
-        mapped = howe_type_map(low, d.target_signature, d.chi)
-    except HoweBoundError:
-        return False
-    return shift(mapped, d.det_shift) == lowest_k_type(d.target_q, d.target_lambda)
+    return _k_type_check(d)[0]
+
+
+def _min_degree_check(d: LiftDatum, bound: int):
+    """(verdict, degree of the source lowest K-type, degrees of the cone)."""
+    base = degree(
+        lowest_k_type(d.source_q, d.source_lambda), d.chi.alpha1, d.target_signature
+    )
+    degrees = [
+        degree(w, d.chi.alpha1, d.target_signature)
+        for w in k_types_bounded(d.source_q, d.source_lambda, bound)
+    ]
+    return all(v >= base for v in degrees), base, degrees
 
 
 def verify_min_degree(d: LiftDatum, bound: int = DEFAULT_BOUND) -> bool:
     """No source K-type candidate within the bounded cone has strictly
     smaller degree than the lowest K-type."""
-    base = degree(
-        lowest_k_type(d.source_q, d.source_lambda), d.chi.alpha1, d.target_signature
-    )
-    cone = k_types_bounded(d.source_q, d.source_lambda, bound)
-    return all(
-        degree(w, d.chi.alpha1, d.target_signature) >= base for w in cone
-    )
+    return _min_degree_check(d, bound)[0]
 
 
 def full_report(
@@ -319,41 +333,22 @@ def full_report(
 ) -> LiftReport:
     """Build the source datum and run all four checks."""
     d = build_source(q, lam, r0, chi)
-    lifted_param = theta_lift_param(
-        psi_lambda_q(d.source_q, d.source_lambda), d.chi, d.target_q.total
-    )
-    twisted_param = twist(psi_lambda_q(d.target_q, d.target_lambda), -d.det_shift)
-    lifted_inf = _lifted_inf_char(d)
-    target_inf = inf_char_aq(d.target_q, d.target_lambda)
-    src_low = lowest_k_type(d.source_q, d.source_lambda)
-    tgt_low = lowest_k_type(d.target_q, d.target_lambda)
-    mapped_json = None
-    try:
-        mapped = shift(howe_type_map(src_low, d.target_signature, d.chi), d.det_shift)
-        mapped_json = mapped.to_json()
-    except HoweBoundError:
-        mapped = None
-    cone = k_types_bounded(d.source_q, d.source_lambda, bound)
-    degrees = [degree(w, d.chi.alpha1, d.target_signature) for w in cone]
-    base_degree = degree(src_low, d.chi.alpha1, d.target_signature)
-
-    parameter_ok = lifted_param == twisted_param
-    infchar_ok = lifted_inf == target_inf
-    ktype_ok = _zones_ok(d) and mapped is not None and mapped == tgt_low
-    mindegree_ok = all(deg >= base_degree for deg in degrees)
-
+    parameter_ok, lifted_param, twisted_param = _parameter_check(d)
+    infchar_ok, lifted_inf, target_inf = _inf_char_check(d)
+    ktype_ok, src_low, mapped, tgt_low = _k_type_check(d)
+    mindegree_ok, base_degree, degrees = _min_degree_check(d, bound)
     details = {
         "lifted_parameter": lifted_param.to_json(),
         "twisted_target_parameter": twisted_param.to_json(),
         "lifted_inf_char": lifted_inf.to_json(),
         "target_inf_char": target_inf.to_json(),
         "source_lowest_k_type": src_low.to_json(),
-        "mapped_k_type": mapped_json,
+        "mapped_k_type": None if mapped is None else mapped.to_json(),
         "target_lowest_k_type": tgt_low.to_json(),
         "min_degree": {
             "lowest_k_type_degree": str(base_degree),
-            "cone_minimum": str(min(degrees)) if degrees else str(base_degree),
-            "cone_size": len(cone),
+            "cone_minimum": str(min(degrees, default=base_degree)),
+            "cone_size": len(degrees),
         },
     }
     return LiftReport(

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 from aql.cli import run
@@ -47,6 +50,14 @@ def test_golden_lift_verify(capsys):
     )
     assert code == 0
     assert out == (GOLDEN / "lift_verify_u21.txt").read_text()
+
+
+def test_golden_lift_verify_json(capsys):
+    code, out, _ = run_cli(
+        capsys, "lift", "verify", "--blocks", "1,0;2,2;0,1", "--json"
+    )
+    assert code == 0
+    assert out == (GOLDEN / "lift_verify_u32.json").read_text()
 
 
 def test_golden_enumerate_count(capsys):
@@ -111,6 +122,32 @@ def test_exit_code_two_on_bad_input(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
+
+
+def test_negative_values_attach_with_equals(capsys):
+    # argparse reads a separate "-1,-2" as an option, hence an error
+    code, out, _ = run_cli(capsys, "aq", "--blocks", "1,0;0,1", "--lambda", "-1,-2")
+    assert (code, out) == (2, "")
+    code, out, _ = run_cli(capsys, "aq", "--blocks", "1,0;0,1", "--lambda=-1,-2")
+    assert code == 0
+    assert json.loads(out)["lambda"] == [-1, -2]
+    code, out, _ = run_cli(
+        capsys,
+        "lift", "construct",
+        "--blocks", "1,0;1,1", "--lambda=0,-1", "--r0", "2", "--chi=-1,1",
+    )
+    assert code == 0
+    assert check_schema(out, "lift_datum")["chi"] == {"alpha1": -1, "alpha2": 1}
+
+
+def test_unexpected_exception_exits_three(capsys):
+    # enumerate_packet recurses once per block, so 1,200 blocks exceed the
+    # interpreter's recursion limit
+    code, out, err = run_cli(capsys, "packet", "--blocks", ";".join(["1,0;0,1"] * 600))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: RecursionError")
+    assert err.count("\n") == 1
 
 
 def test_packet_command_content(capsys):
@@ -181,3 +218,80 @@ def test_convergence_lax_flag(capsys):
     )
     assert code == 0
     assert json.loads(out)["lax"] is True
+
+
+def _flag(name, values):
+    """An absent flag, or the flag with a value attached by '='."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"{name}={v}"]))
+
+
+_valid_blocks = (
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4)
+    .filter(lambda bs: sum(a + b for a, b in bs) <= 5)
+    .map(lambda bs: ";".join(f"{a},{b}" for a, b in bs))
+)
+_blocks = st.one_of(
+    _valid_blocks, st.sampled_from(["", "x", "1", "1,0;", "1.5,0", "-1,2", "1,2,3"])
+).map(lambda text: [f"--blocks={text}"])
+_lambda = _flag(
+    "--lambda", st.lists(st.integers(-3, 3), max_size=5).map(lambda v: ",".join(map(str, v)))
+)
+_chi = _flag(
+    "--chi",
+    st.one_of(
+        st.tuples(st.integers(-2, 3), st.integers(-2, 3)).map(lambda c: f"{c[0]},{c[1]}"),
+        st.sampled_from(["1", "a,b", ""]),
+    ),
+)
+_frame = st.tuples(st.integers(-1, 5), st.integers(-1, 5)).filter(lambda f: sum(f) <= 5)
+def _switch(name):
+    return st.sampled_from([[], [name]])
+
+
+def _argv_lists(*parts):
+    return st.tuples(*parts).map(lambda ps: [tok for p in ps for tok in p])
+
+
+_argv = st.one_of(
+    _argv_lists(
+        st.just(["partitions", "enumerate"]),
+        _frame.map(lambda f: [f"--a={f[0]}", f"--b={f[1]}"]),
+        _switch("--count"),
+    ),
+    _argv_lists(st.sampled_from([["aq"], ["packet"]]), _blocks, _lambda),
+    _argv_lists(
+        st.just(["lift", "construct"]), _blocks, _lambda, _flag("--r0", st.integers(-1, 5)), _chi
+    ),
+    _argv_lists(
+        st.just(["lift", "verify"]),
+        _blocks,
+        _lambda,
+        _flag("--r0", st.integers(-1, 5)),
+        _chi,
+        _flag("--bound", st.integers(-1, 3)),
+        _switch("--json"),
+    ),
+    _argv_lists(st.just(["convergence", "check"]), _blocks, _switch("--lax")),
+    _argv_lists(
+        st.just(["atlas"]),
+        _frame.map(lambda f: [f"--a={f[0]}", f"--b={f[1]}"]),
+        _flag("--format", st.sampled_from(["json", "tsv", "xml"])),
+        _switch("--lax"),
+    ),
+    st.lists(st.sampled_from(["aq", "lift", "verify", "--blocks", "1,1", "--bound", "x", "--json"])),
+)
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv)
+def test_any_small_argv_exits_cleanly_and_deterministically(argv):
+    code, first = _run_captured(argv)
+    assert code in (0, 1, 2), argv
+    assert _run_captured(argv) == (code, first), argv

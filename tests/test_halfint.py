@@ -33,6 +33,13 @@ def test_floats_rejected():
         HalfInt(True)
 
 
+def test_hash_beyond_float_range():
+    big = HalfInt.from_twice(10**400 + 1)
+    assert hash(big) == hash(HalfInt.from_twice(10**400 + 1))
+    assert hash(HalfInt(10**400)) == hash(10**400)
+    assert hash(HalfInt(-3)) == hash(-3)
+
+
 def test_integrality_predicate():
     assert HalfInt(4).is_integral
     assert not half(9).is_integral

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from aql.arthur import ChiPair, ParityError
+from aql.arthur import ChiPair, ParameterRestriction, ParityError
 from aql.halfint import CharMultiset, Weight, half
 from aql.parabolic import LambdaCharacter, ThetaStableAlgebra, lowest_k_type
 from aql.thetalift import (
@@ -76,6 +76,23 @@ def test_build_source_rejects_bad_inputs():
         build_source(alg((1, 1)), None, 5, None)
     with pytest.raises(ParityError):
         build_source(alg((1, 0), (1, 1)), (1, 0), 2, (0, 1))  # alpha1 must be odd
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ThetaStableAlgebra([(1.5, 0.9)]),
+        lambda: ThetaStableAlgebra([(True, 0)]),
+        lambda: LambdaCharacter([1.7, 0.2]),
+        lambda: ChiPair(1.0, 1, 1, 1),
+        lambda: ParameterRestriction([(0, 2.0)]),
+        lambda: build_source(alg((1, 0), (1, 1)), (1, 0), 2, (1.0, 1)),
+    ],
+    ids=["blocks", "bool-block", "lambda", "chi-pair", "summand", "chi-tuple"],
+)
+def test_non_int_inputs_rejected(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_verify_parameter_identity_worked_chain():
