@@ -15,13 +15,12 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .parabolic import (
-    LambdaCharacter,
     ThetaStableAlgebra,
-    algebra_from_pair,
     cohomological_degree,
-    enumerate_packet,
+    enumerate_standard,
+    packet_size,
+    partitions_from_blocks,
 )
-from .partitions import enumerate_compatible
 from .thetalift import _source_algebra
 
 
@@ -195,10 +194,9 @@ def atlas(a: int, b: int, lax: bool = False) -> List[AtlasRow]:
     if a == 0 and b == 0:
         return []
     rows = []
-    for pair in enumerate_compatible(a, b):
-        q = algebra_from_pair(pair)
+    for q in enumerate_standard(a, b):
+        pair = partitions_from_blocks(q)
         R, R_plus, R_minus = cohomological_degree(q)
-        packet = enumerate_packet(q, LambdaCharacter.zero(q))
         ok, cert = is_convergent(q, lax)
         rows.append(
             AtlasRow(
@@ -208,7 +206,7 @@ def atlas(a: int, b: int, lax: bool = False) -> List[AtlasRow]:
                 R=R,
                 R_plus=R_plus,
                 R_minus=R_minus,
-                packet_size=len(packet),
+                packet_size=packet_size(q),
                 convergent=ok,
                 chain=tuple(cert.signature_chain()) if cert else (),
             )

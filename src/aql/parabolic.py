@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .halfint import CharMultiset, HalfInt, Weight, exact_int, half
-from .partitions import FramedPair, IncompatiblePairError, Partition, conjugate
+from .partitions import FrameError, FramedPair, IncompatiblePairError, Partition, conjugate
 
 
 class DominanceError(ValueError):
@@ -354,40 +355,46 @@ def k_types_bounded(q: ThetaStableAlgebra, lam=None, bound: int = 0) -> List[Wei
     return [seen[k] for k in sorted(seen)]
 
 
+MAX_PACKET = 50_000
+
+
+def packet_size(q: ThetaStableAlgebra) -> int:
+    """Packet size without building the packet: the coefficient of x^a in
+    prod (1 + x + ... + x^{n_i}), one prefix-sum pass per block."""
+    a, _ = q.signature
+    coeffs = [1] + [0] * a
+    for n in q.levi_sizes:
+        prefix = [0, *accumulate(coeffs)]
+        coeffs = [prefix[k + 1] - prefix[max(0, k - n)] for k in range(a + 1)]
+    return coeffs[a]
+
+
 def enumerate_packet(q: ThetaStableAlgebra, lam=None):
     """All redistributions of each block's signature, with the same character.
 
     Members represent the K-conjugacy classes in the packet of (q, lambda);
     block lists are kept as-is (no pure-block merging) so the per-block
-    character stays aligned.
+    character stays aligned.  Members come in lexicographic order of their
+    x-sizes.  Packets above MAX_PACKET members raise ValueError.
     """
     lam = _as_lambda(q, lam)
-    a, _ = q.signature
+    if packet_size(q) > MAX_PACKET:
+        raise ValueError(f"packet has more than {MAX_PACKET} members")
     sizes = q.levi_sizes
-    members = []
-
-    def rec(idx: int, a_left: int, chosen: List[int]):
-        if idx == len(sizes):
-            if a_left == 0:
-                members.append(
-                    (
-                        ThetaStableAlgebra(
-                            (ai, n - ai) for ai, n in zip(chosen, sizes)
-                        ),
-                        lam,
-                    )
-                )
-            return
-        tail = sum(sizes[idx + 1 :])
-        lo = max(0, a_left - tail)
-        hi = min(sizes[idx], a_left)
-        for ai in range(lo, hi + 1):
-            chosen.append(ai)
-            rec(idx + 1, a_left - ai, chosen)
-            chosen.pop()
-
-    rec(0, a, [])
-    return members
+    tail = q.total
+    # (x-sizes chosen so far, x-slots left); every prefix can be completed
+    prefixes = [((), q.signature[0])]
+    for n in sizes:
+        tail -= n
+        prefixes = [
+            (chosen + (ai,), left - ai)
+            for chosen, left in prefixes
+            for ai in range(max(0, left - tail), min(n, left) + 1)
+        ]
+    return [
+        (ThetaStableAlgebra((ai, n - ai) for ai, n in zip(chosen, sizes)), lam)
+        for chosen, _ in prefixes
+    ]
 
 
 def recentred(
@@ -413,7 +420,25 @@ def degree(w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]] = None) 
 
 
 def enumerate_standard(a: int, b: int) -> List[ThetaStableAlgebra]:
-    """All canonical standard algebras of U(a,b), one per compatible pair."""
-    from .partitions import enumerate_compatible
+    """All canonical standard algebras of U(a,b), one per compatible pair,
+    ordered by (beta, alpha): the nonzero blocks summing to (a, b) with no
+    two adjacent pure blocks of the same kind."""
+    if a < 0 or b < 0:
+        raise FrameError("frame sides must be non-negative")
+    found, stack = [], [((), a, b)]
+    while stack:
+        blocks, a_left, b_left = stack.pop()
+        if a_left == b_left == 0:
+            found.append(ThetaStableAlgebra(blocks))
+        pa, pb = blocks[-1] if blocks else (1, 1)  # (1, 1): nothing to merge with
+        for ai in range(a_left + 1):
+            for bi in range(b_left + 1):
+                if (ai, bi) == (0, 0) or (ai == 0 and pa == 0) or (bi == 0 and pb == 0):
+                    continue
+                stack.append((blocks + ((ai, bi),), a_left - ai, b_left - bi))
 
-    return [algebra_from_pair(p) for p in enumerate_compatible(a, b)]
+    def key(q: ThetaStableAlgebra):
+        pair = partitions_from_blocks(q)
+        return pair.beta.rows, pair.alpha.rows
+
+    return sorted(found, key=key)

@@ -11,7 +11,7 @@ decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 
 class FrameError(ValueError):
@@ -136,32 +136,9 @@ def is_compatible(pair: FramedPair) -> bool:
     return True
 
 
-def partitions_in_frame(a: int, b: int) -> Iterator[Partition]:
-    """All partitions with at most a rows and parts at most b."""
-
-    def rec(prefix: List[int], rows_left: int, cap: int):
-        yield Partition(prefix)
-        if rows_left == 0:
-            return
-        for p in range(cap, 0, -1):
-            prefix.append(p)
-            yield from rec(prefix, rows_left - 1, p)
-            prefix.pop()
-
-    yield from rec([], a, b)
-
-
 def enumerate_compatible(a: int, b: int) -> List[FramedPair]:
-    """All compatible pairs in the a x b frame, ordered by (beta, alpha)."""
-    if a < 0 or b < 0:
-        raise FrameError("frame sides must be non-negative")
-    pairs = []
-    for beta in partitions_in_frame(a, b):
-        for alpha in partitions_in_frame(a, b):
-            if not beta.contains(alpha):
-                continue
-            candidate = FramedPair(a, b, alpha, beta)
-            if is_compatible(candidate):
-                pairs.append(candidate)
-    pairs.sort(key=lambda p: (p.beta.rows, p.alpha.rows))
-    return pairs
+    """All compatible pairs in the a x b frame, ordered by (beta, alpha):
+    the pairs of the canonical block lists."""
+    from .parabolic import enumerate_standard, partitions_from_blocks
+
+    return [partitions_from_blocks(q) for q in enumerate_standard(a, b)]

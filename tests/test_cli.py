@@ -140,14 +140,20 @@ def test_negative_values_attach_with_equals(capsys):
     assert check_schema(out, "lift_datum")["chi"] == {"alpha1": -1, "alpha2": 1}
 
 
-def test_unexpected_exception_exits_three(capsys):
-    # enumerate_packet recurses once per block, so 1,200 blocks exceed the
-    # interpreter's recursion limit
+def test_unexpected_exception_exits_three(capsys, monkeypatch):
+    def broken(q, lam):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("aql.cli.enumerate_packet", broken)
+    code, out, err = run_cli(capsys, "packet", "--blocks", "1,0;0,1")
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
+
+
+def test_oversized_packet_exits_two(capsys):
+    # 1,200 alternating one-slot blocks: C(1200, 600) members
     code, out, err = run_cli(capsys, "packet", "--blocks", ";".join(["1,0;0,1"] * 600))
-    assert code == 3
-    assert out == ""
-    assert err.startswith("internal error: RecursionError")
-    assert err.count("\n") == 1
+    assert (code, out) == (2, "")
+    assert err == "error: packet has more than 50000 members\n"
 
 
 def test_packet_command_content(capsys):

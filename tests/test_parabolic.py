@@ -1,7 +1,10 @@
+from math import comb
+
 import pytest
 
 from aql.halfint import CharMultiset, Weight, half, multiset_of
 from aql.parabolic import (
+    MAX_PACKET,
     AlignmentError,
     DominanceError,
     LambdaCharacter,
@@ -16,11 +19,12 @@ from aql.parabolic import (
     inf_char_aq,
     k_types_bounded,
     lowest_k_type,
+    packet_size,
     partitions_from_blocks,
     root_of,
     two_rho_up,
 )
-from aql.partitions import EMPTY, FramedPair, Partition, enumerate_compatible
+from aql.partitions import EMPTY, FrameError, FramedPair, Partition, enumerate_compatible
 
 
 def alg(*blocks):
@@ -128,6 +132,11 @@ def test_standard_enumeration_matches_direct_block_enumeration():
             assert {q.blocks for q in enumerate_standard(a, b)} == brute(a, b)
 
 
+def test_enumerate_standard_rejects_negative_sides():
+    with pytest.raises(FrameError):
+        enumerate_standard(2, -1)
+
+
 def test_delta_u_p_counts():
     assert delta_u_p(alg((2, 3))) == ()
     assert len(delta_u_p(alg((1, 1), (1, 1)))) == 2
@@ -213,6 +222,24 @@ def test_enumerate_packet_examples():
         ((1, 1), (1, 1)),
         ((2, 0), (0, 2)),
     ]
+
+
+def test_packet_size_counts_members():
+    for q in all_standard(7):
+        for m, _ in enumerate_packet(q):
+            assert packet_size(m) == len(enumerate_packet(m)), m
+
+
+def test_packet_size_closed_form():
+    assert packet_size(alg()) == 1
+    assert packet_size(alg(*[(1, 0), (0, 1)] * 600)) == comb(1200, 600)
+
+
+def test_oversized_packet_is_refused():
+    q = alg(*[(1, 0), (0, 1)] * 10)  # C(20, 10) members
+    assert packet_size(q) > MAX_PACKET
+    with pytest.raises(ValueError, match=f"more than {MAX_PACKET} members"):
+        enumerate_packet(q)
 
 
 def test_packet_invariants():

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from aql.partitions import (
@@ -9,9 +11,24 @@ from aql.partitions import (
     conjugate,
     enumerate_compatible,
     is_compatible,
-    partitions_in_frame,
     skew_cells,
 )
+
+
+def partitions_in_frame(a, b):
+    """All partitions with at most a rows and parts at most b."""
+    return [Partition(r) for r in combinations_with_replacement(range(b, -1, -1), a)]
+
+
+def candidate_pairs(a, b):
+    """Every nested pair alpha <= beta in the a x b frame."""
+    frame = partitions_in_frame(a, b)
+    return [
+        FramedPair(a, b, alpha, beta)
+        for beta in frame
+        for alpha in frame
+        if beta.contains(alpha)
+    ]
 
 
 def test_partition_normalization():
@@ -94,6 +111,21 @@ def test_enumerate_compatible_small_frames():
     assert len(enumerate_compatible(0, 0)) == 1
 
 
+def test_enumerate_compatible_matches_candidate_filter():
+    # oracle: keep the compatible pairs among all nested pairs, then sort
+    for n in range(9):
+        for a in range(n + 1):
+            b = n - a
+            survivors = [p for p in candidate_pairs(a, b) if is_compatible(p)]
+            survivors.sort(key=lambda p: (p.beta.rows, p.alpha.rows))
+            assert enumerate_compatible(a, b) == survivors, (a, b)
+
+
+def test_enumerate_compatible_rejects_negative_sides():
+    with pytest.raises(FrameError):
+        enumerate_compatible(-1, 2)
+
+
 def test_enumerate_compatible_is_sorted_and_deterministic():
     pairs = enumerate_compatible(2, 2)
     keys = [(p.beta.rows, p.alpha.rows) for p in pairs]
@@ -146,9 +178,5 @@ def _geometric_compatible(pair):
 def test_geometric_cross_check():
     for a in range(5):
         for b in range(5):
-            for beta in partitions_in_frame(a, b):
-                for alpha in partitions_in_frame(a, b):
-                    if not beta.contains(alpha):
-                        continue
-                    pair = FramedPair(a, b, alpha, beta)
-                    assert is_compatible(pair) == _geometric_compatible(pair), pair
+            for pair in candidate_pairs(a, b):
+                assert is_compatible(pair) == _geometric_compatible(pair), pair
