@@ -8,7 +8,7 @@ construction with its four exact verification checks, and convergence
 certificates obtained by backward chain search.
 """
 
-from .halfint import CharMultiset, HalfInt, Weight, half, multiset_of, shift
+from .halfint import CharMultiset, HalfInt, Weight, format_twice, half, multiset_of, shift, twice_of
 from .partitions import (
     FrameError,
     FramedPair,

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
-from .halfint import CharMultiset, HalfIntLike, as_halfint, exact_int, half
-from .parabolic import ThetaStableAlgebra, _as_lambda, m_coeffs
+from .halfint import CharMultiset, HalfIntLike, exact_int, format_twice, twice_of
+from .parabolic import ThetaStableAlgebra, _as_lambda, centred_string, m_coeffs
 
 
 class ParityError(ValueError):
@@ -25,19 +25,20 @@ class ParityError(ValueError):
 class ParameterRestriction:
     """A formal sum of summands mu^k (x) sigma_n, with multiset semantics.
 
-    Summands are kept in canonical order: decreasing exponent, then
-    decreasing dimension.
+    Summands (k, n) hold the exponent doubled, as 2k, and are kept in
+    canonical order: decreasing exponent, then decreasing dimension.  They
+    come with half-integer exponents through `summands` or with doubled
+    ones through `twice`.
     """
 
-    summands: tuple
+    summands: Tuple[Tuple[int, int], ...]
 
-    def __init__(self, summands: Iterable[Tuple[HalfIntLike, int]] = ()):
-        items = []
-        for k, n in summands:
+    def __init__(self, summands: Iterable[Tuple[HalfIntLike, int]] = (), *, twice=()):
+        items = [*((twice_of(k), n) for k, n in summands), *twice]
+        for _, n in items:
             if exact_int(n) <= 0:
                 raise ValueError(f"summand dimension must be positive, got {n}")
-            items.append((as_halfint(k), n))
-        items.sort(key=lambda kn: (-kn[0].twice, -kn[1]))
+        items.sort(reverse=True)
         object.__setattr__(self, "summands", tuple(items))
 
     @property
@@ -45,7 +46,7 @@ class ParameterRestriction:
         return sum(n for _, n in self.summands)
 
     def to_json(self) -> dict:
-        return {"summands": [{"k": str(k), "n": n} for k, n in self.summands]}
+        return {"summands": [{"k": format_twice(k), "n": n} for k, n in self.summands]}
 
     @classmethod
     def from_json(cls, doc: dict) -> "ParameterRestriction":
@@ -54,7 +55,7 @@ class ParameterRestriction:
     def __str__(self):
         if not self.summands:
             return "0"
-        return " + ".join(f"mu^{k} (x) sigma_{n}" for k, n in self.summands)
+        return " + ".join(f"mu^{format_twice(k)} (x) sigma_{n}" for k, n in self.summands)
 
 
 @dataclass(frozen=True)
@@ -97,18 +98,18 @@ def inf_char_param(psi: ParameterRestriction) -> CharMultiset:
     contributes the n-term string k + (n-1)/2, ..., k - (n-1)/2."""
     entries = []
     for k, n in psi.summands:
-        entries.extend(half(k.twice + n + 1 - 2 * t) for t in range(1, n + 1))
-    return CharMultiset(entries)
+        entries.extend(centred_string(k, n))
+    return CharMultiset(twice=entries)
 
 
 def parity_check(ks: Sequence[HalfIntLike], q: ThetaStableAlgebra) -> bool:
     """Whether per-block exponents extend over the full Weil group:
     2*k_i must have the parity of n - n_i for every block."""
-    ks = [as_halfint(k) for k in ks]
+    ks = [twice_of(k) for k in ks]
     if len(ks) != q.r:
         raise ValueError(f"{len(ks)} exponents for {q.r} blocks")
     n = q.total
-    return all((k.twice - (n - n_i)) % 2 == 0 for k, n_i in zip(ks, q.levi_sizes))
+    return all((k - (n - n_i)) % 2 == 0 for k, n_i in zip(ks, q.levi_sizes))
 
 
 def psi_lambda_q(q: ThetaStableAlgebra, lam=None) -> ParameterRestriction:
@@ -117,15 +118,18 @@ def psi_lambda_q(q: ThetaStableAlgebra, lam=None) -> ParameterRestriction:
     lam = _as_lambda(q, lam)
     ms = m_coeffs(q)
     return ParameterRestriction(
-        (half(2 * lam_i + m_i), n_i)
-        for lam_i, m_i, n_i in zip(lam.values, ms, q.levi_sizes)
+        twice=((2 * lam_i + m_i, n_i) for lam_i, m_i, n_i in zip(lam.values, ms, q.levi_sizes))
     )
+
+
+def twist_twice(psi: ParameterRestriction, c: int) -> ParameterRestriction:
+    """Tensor with mu^(c/2): add c to every doubled exponent."""
+    return ParameterRestriction(twice=((k + c, n) for k, n in psi.summands))
 
 
 def twist(psi: ParameterRestriction, c: HalfIntLike) -> ParameterRestriction:
     """Tensor with mu^c: add c to every exponent."""
-    c = as_halfint(c)
-    return ParameterRestriction((k + c, n) for k, n in psi.summands)
+    return twist_twice(psi, twice_of(c))
 
 
 def theta_lift_param(
@@ -136,7 +140,5 @@ def theta_lift_param(
     n_prime = psi_prime.dimension
     if n_prime >= n:
         raise ValueError("target must be strictly larger")
-    shift = half(chi.alpha2 - chi.alpha1)
-    summands = [(k + shift, m) for k, m in psi_prime.summands]
-    summands.append((half(chi.alpha2), n - n_prime))
-    return ParameterRestriction(summands)
+    old = twist_twice(psi_prime, chi.alpha2 - chi.alpha1).summands
+    return ParameterRestriction(twice=(*old, (chi.alpha2, n - n_prime)))

@@ -1,16 +1,20 @@
-"""Exact half-integer scalars and split weight vectors.
+"""Half-integers as doubled ints, and the weight and multiset types built on them.
 
-Every quantity in this library lives in (1/2)Z.  A half-integer is stored
-as its doubled value, so all arithmetic stays in exact integer arithmetic
-and nothing is ever rounded.  Weights are coordinate vectors split into an
-x-part of length a and a y-part of length b, matching the diagonal Cartan
-of U(a) x U(b).
+Every quantity in this library lives in (1/2)Z.  Inside the code a
+half-integer k is the plain int 2k, so every formula runs in exact integer
+arithmetic and nothing is ever rounded.  The conversions happen only at the
+boundary: `twice_of` reads a `HalfInt`, an int or a "p" / "p/2" string into
+a doubled int, and `format_twice` prints one.  `HalfInt` is the boundary
+scalar: it parses, prints, compares equal and hashes, but does no
+arithmetic.  Weights are coordinate vectors split into an x-part of length
+a and a y-part of length b, matching the diagonal Cartan of U(a) x U(b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from operator import add
+from typing import Iterable, Tuple, Union
 
 
 def exact_int(value) -> int:
@@ -20,12 +24,19 @@ def exact_int(value) -> int:
     return value
 
 
+def format_twice(twice: int) -> str:
+    """Print the half-integer twice/2 as "k" or "p/2"."""
+    if twice % 2 == 0:
+        return str(twice // 2)
+    return f"{twice}/2"
+
+
 class HalfInt:
-    """An exact element of (1/2)Z.
+    """An exact element of (1/2)Z at the parse and print boundary.
 
     ``HalfInt(k)`` builds the integer k; non-integral values come from
-    :meth:`from_twice`, :meth:`parse` or arithmetic.  Denominators other
-    than 1 and 2 do not exist here and floats are rejected outright.
+    :meth:`from_twice` or :meth:`parse`.  Denominators other than 1 and 2
+    do not exist here and floats are rejected outright.
     """
 
     __slots__ = ("twice",)
@@ -46,78 +57,18 @@ class HalfInt:
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
         """Parse "p" or "p/2" with p/2 in lowest terms."""
-        s = text.strip()
-        if s.endswith("/2"):
-            num = int(s[:-2])
-            if num % 2 == 0:
-                raise ValueError(f"{text!r} is not in lowest terms")
-            return cls.from_twice(num)
-        if "/" in s:
-            raise ValueError(f"unsupported denominator in {text!r}")
-        return cls(int(s))
+        return cls.from_twice(twice_of(text))
 
     @property
     def is_integral(self) -> bool:
         return self.twice % 2 == 0
 
-    def __add__(self, other):
-        if isinstance(other, HalfInt):
-            return HalfInt.from_twice(self.twice + other.twice)
-        if isinstance(other, int):
-            return HalfInt.from_twice(self.twice + 2 * other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, HalfInt):
-            return HalfInt.from_twice(self.twice - other.twice)
-        if isinstance(other, int):
-            return HalfInt.from_twice(self.twice - 2 * other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return HalfInt.from_twice(2 * other - self.twice)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return HalfInt.from_twice(self.twice * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return HalfInt.from_twice(-self.twice)
-
-    def __abs__(self):
-        return HalfInt.from_twice(abs(self.twice))
-
-    def _twice_of(self, other) -> int:
-        if isinstance(other, HalfInt):
-            return other.twice
-        if isinstance(other, int) and not isinstance(other, bool):
-            return 2 * other
-        raise TypeError(f"cannot compare half-integer with {other!r}")
-
     def __eq__(self, other):
-        try:
-            return self.twice == self._twice_of(other)
-        except TypeError:
-            return NotImplemented
-
-    def __lt__(self, other):
-        return self.twice < self._twice_of(other)
-
-    def __le__(self, other):
-        return self.twice <= self._twice_of(other)
-
-    def __gt__(self, other):
-        return self.twice > self._twice_of(other)
-
-    def __ge__(self, other):
-        return self.twice >= self._twice_of(other)
+        if isinstance(other, HalfInt):
+            return self.twice == other.twice
+        if type(other) is int:
+            return self.twice == 2 * other
+        return NotImplemented
 
     def __hash__(self):
         # integral values hash like the equal int; a float would overflow
@@ -126,9 +77,7 @@ class HalfInt:
         return hash((self.twice, 2))
 
     def __str__(self):
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+        return format_twice(self.twice)
 
     def __repr__(self):
         return f"HalfInt({self})"
@@ -142,24 +91,36 @@ def half(twice: int) -> HalfInt:
 HalfIntLike = Union[HalfInt, int, str]
 
 
-def as_halfint(value: HalfIntLike) -> HalfInt:
+def twice_of(value: HalfIntLike) -> int:
+    """The doubled value 2k of a HalfInt, an int, or a "p" / "p/2" string
+    with p/2 in lowest terms."""
     if isinstance(value, HalfInt):
-        return value
-    if isinstance(value, str):
-        return HalfInt.parse(value)
-    return HalfInt(value)
+        return value.twice
+    if not isinstance(value, str):
+        return 2 * exact_int(value)
+    s = value.strip()
+    if s.endswith("/2"):
+        num = int(s[:-2])
+        if num % 2 == 0:
+            raise ValueError(f"{value!r} is not in lowest terms")
+        return num
+    if "/" in s:
+        raise ValueError(f"unsupported denominator in {value!r}")
+    return 2 * int(s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Weight:
-    """A weight of U(a) x U(b), split into its x- and y-coordinates."""
+    """A weight of U(a) x U(b), split into its x- and y-coordinates, each
+    held as a tuple of doubled ints.  Weights of one signature sort by
+    their coordinates."""
 
-    x: tuple
-    y: tuple
+    x: Tuple[int, ...]
+    y: Tuple[int, ...]
 
     @classmethod
     def of(cls, xs: Iterable[HalfIntLike], ys: Iterable[HalfIntLike]) -> "Weight":
-        return cls(tuple(as_halfint(v) for v in xs), tuple(as_halfint(v) for v in ys))
+        return cls(tuple(map(twice_of, xs)), tuple(map(twice_of, ys)))
 
     @property
     def signature(self) -> tuple:
@@ -175,17 +136,14 @@ class Weight:
     def __add__(self, other: "Weight") -> "Weight":
         if self.signature != other.signature:
             raise ValueError("signature mismatch")
-        return Weight(
-            tuple(p + q for p, q in zip(self.x, other.x)),
-            tuple(p + q for p, q in zip(self.y, other.y)),
-        )
+        return Weight(tuple(map(add, self.x, other.x)), tuple(map(add, self.y, other.y)))
 
     def to_json(self) -> dict:
         return {
             "a": len(self.x),
             "b": len(self.y),
-            "x": [str(v) for v in self.x],
-            "y": [str(v) for v in self.y],
+            "x": [format_twice(v) for v in self.x],
+            "y": [format_twice(v) for v in self.y],
         }
 
     @classmethod
@@ -198,7 +156,7 @@ class Weight:
 
 def shift(w: Weight, c: HalfIntLike) -> Weight:
     """Add the same constant to every coordinate (a det-power twist)."""
-    c = as_halfint(c)
+    c = twice_of(c)
     return Weight(tuple(v + c for v in w.x), tuple(v + c for v in w.y))
 
 
@@ -207,29 +165,31 @@ class CharMultiset:
     """A multiset of half-integers, compared up to permutation.
 
     Infinitesimal characters live here: a+b coordinates with multiplicity,
-    order irrelevant.  Entries are kept sorted decreasing.
+    order irrelevant.  Entries are doubled ints kept sorted decreasing;
+    they come as half-integers through `entries` or already doubled
+    through `twice`.  Iteration yields them as `HalfInt`.
     """
 
-    entries: tuple
+    entries: Tuple[int, ...]
 
-    def __init__(self, entries: Iterable[HalfIntLike]):
-        items = sorted((as_halfint(v) for v in entries), key=lambda h: -h.twice)
+    def __init__(self, entries: Iterable[HalfIntLike] = (), *, twice: Iterable[int] = ()):
+        items = sorted([*map(twice_of, entries), *twice], reverse=True)
         object.__setattr__(self, "entries", tuple(items))
 
     def __len__(self):
         return len(self.entries)
 
     def __iter__(self):
-        return iter(self.entries)
+        return map(half, self.entries)
 
     def shifted(self, c: HalfIntLike) -> "CharMultiset":
-        c = as_halfint(c)
-        return CharMultiset(v + c for v in self.entries)
+        c = twice_of(c)
+        return CharMultiset(twice=(v + c for v in self.entries))
 
     def to_json(self) -> list:
-        return [str(v) for v in self.entries]
+        return [format_twice(v) for v in self.entries]
 
 
 def multiset_of(w: Weight) -> CharMultiset:
     """Flatten a weight to its coordinate multiset."""
-    return CharMultiset(w.x + w.y)
+    return CharMultiset(twice=w.x + w.y)

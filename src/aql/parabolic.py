@@ -169,10 +169,8 @@ def blocks_from_dominant(H: Weight) -> ThetaStableAlgebra:
     """Read the canonical block list off a dominant element."""
     if not H.is_dominant:
         raise DominanceError(f"element is not dominant: {H.to_json()}")
-    levels = sorted({v.twice for v in H.x} | {v.twice for v in H.y}, reverse=True)
-    xs = [v.twice for v in H.x]
-    ys = [v.twice for v in H.y]
-    blocks = [(xs.count(z), ys.count(z)) for z in levels]
+    levels = sorted(set(H.x) | set(H.y), reverse=True)
+    blocks = [(H.x.count(z), H.y.count(z)) for z in levels]
     return ThetaStableAlgebra(_merge_pure(blocks))
 
 
@@ -255,9 +253,9 @@ def root_of(cell: Tuple[int, int, int], a: int, b: int) -> Weight:
     sign, i, j = cell
     xs = [0] * a
     ys = [0] * b
-    xs[i - 1] = sign
-    ys[b - j] = -sign
-    return Weight.of(xs, ys)
+    xs[i - 1] = 2 * sign
+    ys[b - j] = -2 * sign
+    return Weight(tuple(xs), tuple(ys))
 
 
 @lru_cache(maxsize=None)
@@ -277,9 +275,9 @@ def two_rho_up(q: ThetaStableAlgebra) -> Weight:
     a, b = q.signature
     alpha_t = conjugate(pair.alpha)
     beta_t = conjugate(pair.beta)
-    xs = [pair.alpha.part(i) + pair.beta.part(i) - b for i in range(1, a + 1)]
-    ys = [a - (alpha_t.part(b + 1 - j) + beta_t.part(b + 1 - j)) for j in range(1, b + 1)]
-    return Weight.of(xs, ys)
+    xs = (2 * (pair.alpha.part(i) + pair.beta.part(i) - b) for i in range(1, a + 1))
+    ys = (2 * (a - alpha_t.part(b + 1 - j) - beta_t.part(b + 1 - j)) for j in range(1, b + 1))
+    return Weight(tuple(xs), tuple(ys))
 
 
 @lru_cache(maxsize=None)
@@ -294,6 +292,12 @@ def m_coeffs(q: ThetaStableAlgebra) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def centred_string(center: int, n: int) -> range:
+    """The n values centred at center/2 in steps of 1, decreasing, all
+    doubled: center + n - 1, center + n - 3, ..., center - n + 1."""
+    return range(center + n - 1, center - n, -2)
+
+
 def inf_char_aq(q: ThetaStableAlgebra, lam=None) -> CharMultiset:
     """Infinitesimal character attached to (q, lambda), as a multiset.
 
@@ -303,12 +307,10 @@ def inf_char_aq(q: ThetaStableAlgebra, lam=None) -> CharMultiset:
     Levi, so no positive system is ever chosen.
     """
     lam = _as_lambda(q, lam)
-    ms = m_coeffs(q)
     entries = []
-    for lam_i, m_i, n_i in zip(lam.values, ms, q.levi_sizes):
-        center = 2 * lam_i + m_i
-        entries.extend(half(center + n_i + 1 - 2 * t) for t in range(1, n_i + 1))
-    return CharMultiset(entries)
+    for lam_i, m_i, n_i in zip(lam.values, m_coeffs(q), q.levi_sizes):
+        entries.extend(centred_string(2 * lam_i + m_i, n_i))
+    return CharMultiset(twice=entries)
 
 
 def expand_lambda(q: ThetaStableAlgebra, lam=None) -> Weight:
@@ -317,9 +319,9 @@ def expand_lambda(q: ThetaStableAlgebra, lam=None) -> Weight:
     xs: List[int] = []
     ys: List[int] = []
     for (ai, bi), v in zip(q.blocks, lam.values):
-        xs.extend([v] * ai)
-        ys.extend([v] * bi)
-    return Weight.of(xs, ys)
+        xs.extend([2 * v] * ai)
+        ys.extend([2 * v] * bi)
+    return Weight(tuple(xs), tuple(ys))
 
 
 def lowest_k_type(q: ThetaStableAlgebra, lam=None) -> Weight:
@@ -336,23 +338,18 @@ def k_types_bounded(q: ThetaStableAlgebra, lam=None, bound: int = 0) -> List[Wei
     a, b = q.signature
     base = lowest_k_type(q, lam)
     roots = [root_of(c, a, b) for c in delta_u_p(q)]
-
-    def key(w: Weight):
-        return tuple(v.twice for v in w.x) + tuple(v.twice for v in w.y)
-
-    seen = {key(base): base}
+    seen = {base}
     frontier = [base]
     for _ in range(bound):
         nxt = []
         for w in frontier:
             for tau in roots:
                 cand = w + tau
-                k = key(cand)
-                if k not in seen:
-                    seen[k] = cand
+                if cand not in seen:
+                    seen.add(cand)
                     nxt.append(cand)
         frontier = nxt
-    return [seen[k] for k in sorted(seen)]
+    return sorted(seen)
 
 
 MAX_PACKET = 50_000
@@ -409,22 +406,33 @@ def recentred(
     fa, fb = frame if frame is not None else w.signature
     cx = chi1_alpha + (fa - fb)
     cy = chi1_alpha + (fb - fa)
-    return [v.twice - cx for v in w.x], [v.twice - cy for v in w.y]
+    return [v - cx for v in w.x], [v - cy for v in w.y]
+
+
+def degree_twice(w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]] = None) -> int:
+    """Twice the Fock-space degree of a weight relative to a dual-pair
+    partner: the sum of the absolute recentred coordinates."""
+    rx, ry = recentred(w, chi1_alpha, frame)
+    return sum(map(abs, rx)) + sum(map(abs, ry))
 
 
 def degree(w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]] = None) -> HalfInt:
-    """Fock-space degree of a weight relative to a dual-pair partner: the
-    sum of the absolute recentred coordinates."""
-    rx, ry = recentred(w, chi1_alpha, frame)
-    return half(sum(map(abs, rx)) + sum(map(abs, ry)))
+    """Fock-space degree of a weight relative to a dual-pair partner."""
+    return half(degree_twice(w, chi1_alpha, frame))
+
+
+MAX_FRAME = 13
 
 
 def enumerate_standard(a: int, b: int) -> List[ThetaStableAlgebra]:
     """All canonical standard algebras of U(a,b), one per compatible pair,
     ordered by (beta, alpha): the nonzero blocks summing to (a, b) with no
-    two adjacent pure blocks of the same kind."""
+    two adjacent pure blocks of the same kind.  Frames with a+b above
+    MAX_FRAME raise FrameError."""
     if a < 0 or b < 0:
         raise FrameError("frame sides must be non-negative")
+    if a + b > MAX_FRAME:
+        raise FrameError(f"frame {a}x{b} is too large: a+b must be at most {MAX_FRAME}")
     found, stack = [], [((), a, b)]
     while stack:
         blocks, a_left, b_left = stack.pop()

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Set, Tuple
 
+from .halfint import exact_int
+
 
 class FrameError(ValueError):
     """A diagram does not fit in the requested frame."""
@@ -29,8 +31,8 @@ class Partition:
     rows: tuple
 
     def __init__(self, rows: Iterable[int] = ()):
-        parts = list(rows)
-        if any(not isinstance(p, int) or p < 0 for p in parts):
+        parts = [exact_int(p) for p in rows]
+        if any(p < 0 for p in parts):
             raise ValueError(f"parts must be non-negative integers: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
@@ -88,7 +90,7 @@ class FramedPair:
     beta: Partition
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
+        if exact_int(self.a) < 0 or exact_int(self.b) < 0:
             raise FrameError("frame sides must be non-negative")
         if not self.beta.fits(self.a, self.b):
             raise FrameError(f"beta {self.beta} not contained in frame {self.a}x{self.b}")

@@ -25,19 +25,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .halfint import CharMultiset, HalfInt, Weight, half, shift
+from .halfint import CharMultiset, HalfInt, Weight, format_twice, half, shift
 from .arthur import (
     ChiPair,
     ParityError,
     psi_lambda_q,
     theta_lift_param,
-    twist,
+    twist_twice,
 )
 from .parabolic import (
     LambdaCharacter,
     ThetaStableAlgebra,
     _as_lambda,
-    degree,
+    centred_string,
+    degree_twice,
     inf_char_aq,
     k_types_bounded,
     lowest_k_type,
@@ -216,7 +217,7 @@ def _parameter_check(d: LiftDatum):
     lifted = theta_lift_param(
         psi_lambda_q(d.source_q, d.source_lambda), d.chi, d.target_q.total
     )
-    twisted = twist(psi_lambda_q(d.target_q, d.target_lambda), -d.det_shift)
+    twisted = twist_twice(psi_lambda_q(d.target_q, d.target_lambda), -d.det_shift.twice)
     return lifted == twisted, lifted, twisted
 
 
@@ -229,9 +230,9 @@ def _inf_char_check(d: LiftDatum):
     """(verdict, lifted source infinitesimal character, target one)."""
     n_r0 = d.target_q.levi_sizes[d.r0 - 1]
     chi_jump = d.chi.alpha2 - d.chi.alpha1
-    entries = [half(v.twice + chi_jump) for v in inf_char_aq(d.source_q, d.source_lambda)]
-    entries.extend(half(d.chi.alpha2 + n_r0 + 1 - 2 * i) for i in range(1, n_r0 + 1))
-    lifted = CharMultiset(entries).shifted(d.det_shift)
+    entries = [v + chi_jump for v in inf_char_aq(d.source_q, d.source_lambda).entries]
+    entries.extend(centred_string(d.chi.alpha2, n_r0))
+    lifted = CharMultiset(twice=entries).shifted(d.det_shift)
     target = inf_char_aq(d.target_q, d.target_lambda)
     return lifted == target, lifted, target
 
@@ -273,7 +274,7 @@ def howe_type_map(mu_prime: Weight, target_sig: Tuple[int, int], chi: ChiPair) -
     cy = chi.alpha2 + (b_src - a_src)
     out_x = [cx + r for r in pos_x] + [cx] * (a - t - w) + [cx + r for r in neg_y]
     out_y = [cy + r for r in pos_y] + [cy] * (b - v - u) + [cy + r for r in neg_x]
-    return Weight(tuple(half(v2) for v2 in out_x), tuple(half(v2) for v2 in out_y))
+    return Weight(tuple(out_x), tuple(out_y))
 
 
 def _k_type_check(d: LiftDatum):
@@ -307,12 +308,13 @@ def verify_k_type(d: LiftDatum) -> bool:
 
 
 def _min_degree_check(d: LiftDatum, bound: int):
-    """(verdict, degree of the source lowest K-type, degrees of the cone)."""
-    base = degree(
+    """(verdict, doubled degree of the source lowest K-type, doubled
+    degrees of the cone)."""
+    base = degree_twice(
         lowest_k_type(d.source_q, d.source_lambda), d.chi.alpha1, d.target_signature
     )
     degrees = [
-        degree(w, d.chi.alpha1, d.target_signature)
+        degree_twice(w, d.chi.alpha1, d.target_signature)
         for w in k_types_bounded(d.source_q, d.source_lambda, bound)
     ]
     return all(v >= base for v in degrees), base, degrees
@@ -346,8 +348,8 @@ def full_report(
         "mapped_k_type": None if mapped is None else mapped.to_json(),
         "target_lowest_k_type": tgt_low.to_json(),
         "min_degree": {
-            "lowest_k_type_degree": str(base_degree),
-            "cone_minimum": str(min(degrees, default=base_degree)),
+            "lowest_k_type_degree": format_twice(base_degree),
+            "cone_minimum": format_twice(min(degrees, default=base_degree)),
             "cone_size": len(degrees),
         },
     }

@@ -156,6 +156,20 @@ def test_oversized_packet_exits_two(capsys):
     assert err == "error: packet has more than 50000 members\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("partitions", "enumerate", "--a", "7", "--b", "7", "--count"),
+        ("atlas", "--a", "7", "--b", "7", "--format", "tsv"),
+    ],
+    ids=["partitions", "atlas"],
+)
+def test_oversized_frame_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: frame 7x7 is too large: a+b must be at most 13\n"
+
+
 def test_packet_command_content(capsys):
     code, out, _ = run_cli(capsys, "packet", "--blocks", "1,0;0,1")
     assert code == 0

@@ -6,6 +6,10 @@ from aql.halfint import CharMultiset, HalfInt, Weight, half, multiset_of, shift
 halfints = st.integers(min_value=-200, max_value=200).map(HalfInt.from_twice)
 
 
+def plus(p, q):
+    return HalfInt.from_twice(p.twice + q.twice)
+
+
 def test_integer_construction_and_display():
     assert str(HalfInt(3)) == "3"
     assert str(HalfInt(-2)) == "-2"
@@ -46,19 +50,20 @@ def test_integrality_predicate():
 
 
 def test_mixed_arithmetic_with_ints():
-    assert half(7) + 1 == half(9)
-    assert 1 + half(7) == half(9)
-    assert half(7) - 4 == half(-1)
-    assert 4 - half(7) == half(1)
-    assert half(3) * 2 == HalfInt(3)
-    assert -half(3) == half(-3)
+    assert CharMultiset([half(7)]).shifted(1) == CharMultiset([half(9)])
+    assert CharMultiset([1]).shifted(half(7)) == CharMultiset([half(9)])
+    assert CharMultiset([half(7)]).shifted(-4) == CharMultiset([half(-1)])
+    assert CharMultiset([4]).shifted(half(-7)) == CharMultiset([half(1)])
+    assert shift(Weight.of([half(3)], []), half(3)) == Weight.of([3], [])
+    assert shift(Weight.of([0], [half(3)]), half(-3)) == Weight.of([half(-3)], [0])
 
 
 @given(halfints, halfints, halfints)
 def test_addition_associative_commutative(p, q, r):
-    assert (p + q) + r == p + (q + r)
-    assert p + q == q + p
-    assert (p + q) - q == p
+    one = CharMultiset([p])
+    assert one.shifted(q).shifted(r) == one.shifted(plus(q, r))
+    assert one.shifted(q) == CharMultiset([q]).shifted(p)
+    assert one.shifted(q).shifted(HalfInt.from_twice(-q.twice)) == one
 
 
 def test_weight_signature_and_dominance():
@@ -79,8 +84,7 @@ def test_shift_examples():
 @given(st.integers(-50, 50), st.integers(-50, 50))
 def test_shift_inverse(a, c):
     w = Weight.of([a, a - 1], [a + 2])
-    ch = HalfInt.from_twice(c)
-    assert shift(shift(w, ch), -ch) == w
+    assert shift(shift(w, HalfInt.from_twice(c)), HalfInt.from_twice(-c)) == w
 
 
 def test_multiset_of_examples():
@@ -94,7 +98,7 @@ def test_multiset_of_examples():
 @given(st.lists(halfints, max_size=6), halfints)
 def test_multiset_commutes_with_shift(values, c):
     w = Weight.of(values[: len(values) // 2], values[len(values) // 2 :])
-    assert multiset_of(shift(w, c)) == CharMultiset(v + c for v in values)
+    assert multiset_of(shift(w, c)) == CharMultiset(plus(v, c) for v in values)
 
 
 def test_weight_json_round_trip():
@@ -108,3 +112,10 @@ def test_char_multiset_is_order_insensitive():
     assert CharMultiset([1, 2, 2]) == CharMultiset([2, 1, 2])
     assert CharMultiset([1, 2, 2]) != CharMultiset([1, 1, 2])
     assert CharMultiset([1, 2]) != CharMultiset([1, 2, 2])
+
+
+def test_halfint_does_no_arithmetic():
+    for op in ("__add__", "__sub__", "__mul__", "__neg__", "__lt__", "__le__", "__gt__", "__ge__"):
+        assert op not in vars(HalfInt)
+    with pytest.raises(TypeError):
+        half(1) < half(3)

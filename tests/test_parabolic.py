@@ -1,9 +1,11 @@
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 
 from aql.halfint import CharMultiset, Weight, half, multiset_of
 from aql.parabolic import (
+    MAX_FRAME,
     MAX_PACKET,
     AlignmentError,
     DominanceError,
@@ -137,6 +139,14 @@ def test_enumerate_standard_rejects_negative_sides():
         enumerate_standard(2, -1)
 
 
+def test_enumerate_standard_refuses_large_frames():
+    assert MAX_FRAME == 13
+    with pytest.raises(FrameError, match="a\\+b must be at most 13"):
+        enumerate_standard(7, 7)
+    with pytest.raises(FrameError):
+        enumerate_compatible(0, 14)
+
+
 def test_delta_u_p_counts():
     assert delta_u_p(alg((2, 3))) == ()
     assert len(delta_u_p(alg((1, 1), (1, 1)))) == 2
@@ -202,6 +212,25 @@ def test_k_types_bounded_counts():
         expected = sum(comb(s + d - 1, d - 1) for s in range(bound + 1))
         assert len(k_types_bounded(q, lam, bound)) <= expected
     assert len(k_types_bounded(q, lam, 2)) == 6  # exact here: x1-y2 and y1-x2 are independent
+
+
+def test_k_types_bounded_matches_root_multisets():
+    """The cone, order included, is base + the sum of every multiset of at
+    most `bound` radical roots."""
+    for q in all_standard(5):
+        a, b = q.signature
+        base = lowest_k_type(q)
+        roots = [root_of(c, a, b) for c in delta_u_p(q)]
+        for bound in range(4):
+            cone = set()
+            for size in range(bound + 1):
+                for combo in combinations_with_replacement(roots, size):
+                    w = base
+                    for tau in combo:
+                        w = w + tau
+                    cone.add(w)
+            expected = sorted(cone, key=lambda w: w.x + w.y)
+            assert k_types_bounded(q, None, bound) == expected, (q, bound)
 
 
 def test_k_types_contain_lowest_and_grow():

@@ -5,6 +5,7 @@ import pytest
 from aql.arthur import ChiPair, ParameterRestriction, ParityError
 from aql.halfint import CharMultiset, Weight, half
 from aql.parabolic import LambdaCharacter, ThetaStableAlgebra, lowest_k_type
+from aql.partitions import FramedPair, Partition
 from aql.thetalift import (
     HoweBoundError,
     build_source,
@@ -87,8 +88,13 @@ def test_build_source_rejects_bad_inputs():
         lambda: ChiPair(1.0, 1, 1, 1),
         lambda: ParameterRestriction([(0, 2.0)]),
         lambda: build_source(alg((1, 0), (1, 1)), (1, 0), 2, (1.0, 1)),
+        lambda: Partition([True, 1]),
+        lambda: FramedPair(2.0, 1, Partition(), Partition()),
     ],
-    ids=["blocks", "bool-block", "lambda", "chi-pair", "summand", "chi-tuple"],
+    ids=[
+        "blocks", "bool-block", "lambda", "chi-pair", "summand", "chi-tuple",
+        "bool-part", "float-side",
+    ],
 )
 def test_non_int_inputs_rejected(build):
     with pytest.raises(TypeError):
