@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from typing import List, Optional
 
 from . import __version__
@@ -176,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--meta",
         action="store_true",
-        help="write run metadata as one JSON line on stderr",
+        help="after the command, write run metadata (exit code, elapsed time,"
+        " cache statistics) as one JSON line on stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -233,6 +235,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cache_info() -> dict:
+    """cache_info() of every lru_cache defined in an aql module, by name."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("aql."):
+            for fn in vars(module).values():
+                if hasattr(fn, "cache_info") and fn.__module__ == name:
+                    found[f"{name[4:]}.{fn.__qualname__}"] = fn.cache_info()._asdict()
+    return dict(sorted(found.items()))
+
+
 def run(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -240,17 +253,21 @@ def run(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return exc.code if isinstance(exc.code, int) else 2
-    if args.meta:
-        meta = {"tool": "aql", "version": __version__, "argv": list(argv or sys.argv[1:])}
-        sys.stderr.write(json.dumps(meta) + "\n")
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
+        code = 2
     except Exception as exc:  # exit 1 would read as "verification false"
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
-        return 3
+        code = 3
+    if args.meta:
+        meta = {"tool": "aql", "version": __version__, "argv": list(argv or sys.argv[1:]),
+                "exit": code, "elapsed_s": round(time.perf_counter() - start, 6),
+                "caches": _cache_info()}
+        sys.stderr.write(json.dumps(meta) + "\n")
+    return code
 
 
 def main() -> None:

@@ -2,16 +2,18 @@
 
 A block list is convergent when it is reachable from a compact-Levi (or
 empty) base by repeated lifts whose sizes strictly more than double at
-every step and whose intermediate pairs stay in the stable range.  The
-search walks backward through the deterministic predecessor map, trying
-the distinguished index in ascending order, and memoizes on canonical
-block lists, so certificates are reproducible byte for byte.
+every step and whose intermediate pairs stay in the stable range.
+Stepping back at the distinguished block r0 leaves the n - n_r0 slots of
+the other blocks, so the growth condition n > 2(n - n_r0) holds exactly
+when block r0 holds more than half of the n slots.  At most one block
+can, so the backward walk has no choices: each step takes that block,
+and chains have at most floor(log2 n) + 1 steps.  Certificates are
+therefore reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .parabolic import (
@@ -76,36 +78,29 @@ def _stable_ok(lower: Tuple[int, int], upper: Tuple[int, int]) -> bool:
     return sum(lower) <= min(upper)
 
 
-@lru_cache(maxsize=None)
-def _search(blocks: Tuple[Tuple[int, int], ...], is_last: bool, lax: bool):
-    """Backward chain ending at `blocks`, or None.  In lax mode the stable
-    range is waived on the final step and on the step out of the base."""
-    q = ThetaStableAlgebra(blocks)
-    if q.has_compact_levi:
-        return (ChainStep(q.signature, q, None),)
-    for r0 in range(1, q.r + 1):
-        pred = predecessor(q, r0)
-        if not _growth_ok(pred.signature, q.signature):
-            continue
-        waived = lax and (is_last or pred.has_compact_levi)
-        if not waived and not _stable_ok(pred.signature, q.signature):
-            continue
-        sub = _search(pred.blocks, False, lax)
-        if sub is None:
-            continue
-        return sub + (ChainStep(q.signature, q, r0),)
-    return None
-
-
 def is_convergent(
     q: ThetaStableAlgebra, lax: bool = False
 ) -> Tuple[bool, Optional[ConvergenceCertificate]]:
-    """Decide convergence; on success return the first certificate found
-    (depth-first, r0 ascending).  The input is canonicalized first."""
-    chain = _search(q.canonicalize().blocks, True, lax)
-    if chain is None:
-        return False, None
-    return True, ConvergenceCertificate(steps=chain, lax=lax)
+    """Decide convergence; on success return the certificate.  The input is
+    canonicalized first.  The walk steps back at the one block holding
+    more than half the slots, the only one that passes the growth
+    condition, until it reaches a compact Levi.  In lax mode the stable
+    range is waived on the final step and on the step out of the base."""
+    q = q.canonicalize()
+    steps = []
+    while not q.has_compact_levi:
+        n = q.total
+        r0 = next((i for i, n_i in enumerate(q.levi_sizes, 1) if 2 * n_i > n), None)
+        if r0 is None:
+            return False, None
+        pred = predecessor(q, r0)
+        waived = lax and (not steps or pred.has_compact_levi)
+        if not waived and not _stable_ok(pred.signature, q.signature):
+            return False, None
+        steps.append(ChainStep(q.signature, q, r0))
+        q = pred
+    steps.append(ChainStep(q.signature, q, None))
+    return True, ConvergenceCertificate(steps=tuple(reversed(steps)), lax=lax)
 
 
 def validate_certificate(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from math import comb
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .halfint import CharMultiset, HalfInt, Weight, exact_int, half
@@ -93,7 +94,9 @@ class ThetaStableAlgebra:
         return all(a == 0 or b == 0 for a, b in self.blocks)
 
     def canonicalize(self) -> "ThetaStableAlgebra":
-        return ThetaStableAlgebra(_merge_pure(self.blocks))
+        """The merged block list; self when nothing merges."""
+        merged = _merge_pure(self.blocks)
+        return self if merged == self.blocks else ThetaStableAlgebra(merged)
 
     @classmethod
     def parse(cls, text: str) -> "ThetaStableAlgebra":
@@ -258,7 +261,6 @@ def root_of(cell: Tuple[int, int, int], a: int, b: int) -> Weight:
     return Weight(tuple(xs), tuple(ys))
 
 
-@lru_cache(maxsize=None)
 def cohomological_degree(q: ThetaStableAlgebra) -> Tuple[int, int, int]:
     """(R, R+, R-): dim of the noncompact nilradical and its split."""
     pair = partitions_from_blocks(q)
@@ -329,15 +331,26 @@ def lowest_k_type(q: ThetaStableAlgebra, lam=None) -> Weight:
     return expand_lambda(q, lam) + two_rho_up(q)
 
 
+MAX_CONE = 200_000
+
+
 def k_types_bounded(q: ThetaStableAlgebra, lam=None, bound: int = 0) -> List[Weight]:
     """The cone lambda + 2rho(u cap p) + sum n_tau tau truncated at total
     coefficient <= bound.  A superset of the actual K-types, which is all
-    the minimal-degree search needs."""
+    the minimal-degree search needs.  Cones whose stars-and-bars count
+    C(bound + |roots|, |roots|) exceeds MAX_CONE raise ValueError before
+    anything is built."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
+    cells = delta_u_p(q)
+    if comb(bound + len(cells), len(cells)) > MAX_CONE:
+        raise ValueError(
+            f"cone at bound {bound} over {len(cells)} roots has more than"
+            f" {MAX_CONE} points; lower the bound"
+        )
     a, b = q.signature
     base = lowest_k_type(q, lam)
-    roots = [root_of(c, a, b) for c in delta_u_p(q)]
+    roots = [root_of(c, a, b) for c in cells]
     seen = {base}
     frontier = [base]
     for _ in range(bound):
@@ -361,8 +374,9 @@ def packet_size(q: ThetaStableAlgebra) -> int:
     a, _ = q.signature
     coeffs = [1] + [0] * a
     for n in q.levi_sizes:
-        prefix = [0, *accumulate(coeffs)]
-        coeffs = [prefix[k + 1] - prefix[max(0, k - n)] for k in range(a + 1)]
+        # n + 1 leading zeros: padded[k + n + 1] - padded[k] sums coeffs[k-n..k]
+        padded = [0] * (n + 1) + list(accumulate(coeffs))
+        coeffs = [hi - lo for lo, hi in zip(padded, padded[n + 1 :])]
     return coeffs[a]
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -223,13 +224,58 @@ def test_atlas_out_file(tmp_path, capsys):
     assert len(lines) == 4
 
 
-def test_meta_goes_to_stderr_only(capsys):
-    _, plain, _ = run_cli(capsys, "aq", "--blocks", "1,1")
-    code, out, err = run_cli(capsys, "--meta", "aq", "--blocks", "1,1")
+def test_meta_goes_to_stderr_only(capsys, monkeypatch):
+    """--meta leaves stdout and the exit code alone and writes one JSON
+    line after the command has run, whatever its exit code."""
+    def broken(q, lam):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("aql.cli.enumerate_packet", broken)
+    for argv, exit_code in (
+        (("aq", "--blocks", "1,1"), 0),
+        (("convergence", "check", "--blocks", "1,1;1,1"), 1),
+        (("lift", "verify", "--blocks", "2,2", "--bound=-1"), 2),
+        (("packet", "--blocks", "1,0;0,1"), 3),
+    ):
+        code, plain, plain_err = run_cli(capsys, *argv)
+        assert code == exit_code
+        code, out, err = run_cli(capsys, "--meta", *argv)
+        assert code == exit_code
+        assert out == plain
+        *diagnostics, last = err.splitlines()
+        assert "".join(line + "\n" for line in diagnostics) == plain_err
+        meta = json.loads(last)
+        assert meta["tool"] == "aql"
+        assert meta["argv"] == ["--meta", *argv]
+        assert meta["exit"] == exit_code
+        assert meta["elapsed_s"] >= 0
+        info = meta["caches"]["parabolic.partitions_from_blocks"]
+        assert set(info) == {"hits", "misses", "maxsize", "currsize"}
+
+
+BIG_CONE = ("lift", "verify", "--blocks", "3,0;0,3;3,0;0,3;1,1", "--r0", "5")
+
+
+def test_oversized_cone_exits_two_before_building(capsys, monkeypatch):
+    """C(5+36, 36) = 749,398 cone points exceed MAX_CONE, from the flag and
+    from the environment alike."""
+    monkeypatch.delenv("AQL_BOUND", raising=False)
+    for extra, env in ((("--bound", "5"), None), ((), "5")):
+        if env is not None:
+            monkeypatch.setenv("AQL_BOUND", env)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *BIG_CONE, *extra)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cone at bound 5 over 36 roots") and err.count("\n") == 1
+
+
+def test_cone_under_the_cap_still_runs(capsys, monkeypatch):
+    """C(4+36, 36) = 91,390 stays under MAX_CONE."""
+    monkeypatch.delenv("AQL_BOUND", raising=False)
+    code, out, _ = run_cli(capsys, *BIG_CONE, "--bound", "4")
     assert code == 0
-    assert out == plain
-    meta = json.loads(err)
-    assert meta["tool"] == "aql"
+    assert out.endswith("mindegree_ok: true (bound 4)\nall checks passed\n")
 
 
 def test_convergence_lax_flag(capsys):

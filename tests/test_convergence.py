@@ -1,17 +1,99 @@
+from functools import lru_cache
+
 import pytest
 
 from aql.convergence import (
+    ChainStep,
+    ConvergenceCertificate,
     atlas,
     is_convergent,
     predecessor,
     validate_certificate,
 )
-from aql.parabolic import ThetaStableAlgebra, enumerate_standard
+from aql.parabolic import ThetaStableAlgebra, enumerate_packet, enumerate_standard
 from aql.thetalift import build_source
 
 
 def alg(*blocks):
     return ThetaStableAlgebra(blocks)
+
+
+def standard_algebras(max_n):
+    for n in range(max_n + 1):
+        for a in range(n + 1):
+            yield from enumerate_standard(a, n - a)
+
+
+@lru_cache(maxsize=None)
+def _oracle_search(blocks, is_last, lax):
+    """Slow oracle: depth-first over every r0 in ascending order, memoised
+    on canonical block lists; the stable range is waived in lax mode on the
+    final step and on the step out of the base."""
+    q = ThetaStableAlgebra(blocks)
+    if q.has_compact_levi:
+        return (ChainStep(q.signature, q, None),)
+    for r0 in range(1, q.r + 1):
+        pred = predecessor(q, r0)
+        if not sum(q.signature) > 2 * sum(pred.signature):
+            continue
+        waived = lax and (is_last or pred.has_compact_levi)
+        if not waived and not sum(pred.signature) <= min(q.signature):
+            continue
+        sub = _oracle_search(pred.blocks, False, lax)
+        if sub is None:
+            continue
+        return sub + (ChainStep(q.signature, q, r0),)
+    return None
+
+
+def oracle_is_convergent(q, lax=False):
+    chain = _oracle_search(q.canonicalize().blocks, True, lax)
+    if chain is None:
+        return False, None
+    return True, ConvergenceCertificate(steps=chain, lax=lax)
+
+
+def assert_matches_oracle(q):
+    for lax in (False, True):
+        ok, cert = is_convergent(q, lax)
+        want_ok, want_cert = oracle_is_convergent(q, lax)
+        assert (ok, cert and cert.to_json()) == (want_ok, want_cert and want_cert.to_json()), (q, lax)
+
+
+def test_matches_oracle_on_standard_algebras():
+    for q in standard_algebras(9):
+        assert_matches_oracle(q)
+
+
+def test_matches_oracle_on_raw_packet_members():
+    raw = 0
+    for q in standard_algebras(6):
+        for member, _ in enumerate_packet(q):
+            raw += not member.is_canonical
+            assert_matches_oracle(member)
+    assert raw > 100
+
+
+@pytest.mark.parametrize("blocks", ["0,6;1,2;0,2", "0,2;1,2;0,6", "0,2;1,2;1,5"])
+def test_lax_waives_the_step_out_of_the_base(blocks):
+    """The smallest frames (a+b = 11) where a lax chain needs the waiver on
+    the step out of a compact base that is not the final step."""
+    q = ThetaStableAlgebra.parse(blocks)
+    assert_matches_oracle(q)
+    assert is_convergent(q) == (False, None)
+    ok, cert = is_convergent(q, lax=True)
+    assert ok and cert.length == 2 and cert.steps[0].blocks == alg((0, 2))
+    assert validate_certificate(cert, q) == []
+
+
+def test_canonicalize_returns_self_only_when_already_canonical():
+    q = alg((1, 0), (2, 2), (0, 1))
+    assert q.canonicalize() is q
+    raw = alg((1, 0), (2, 0), (1, 1), (0, 1), (0, 2))
+    merged = raw.canonicalize()
+    assert merged is not raw
+    assert merged == alg((3, 0), (1, 1), (0, 3))
+    assert merged.canonicalize() is merged
 
 
 def test_predecessor_examples():

@@ -5,6 +5,7 @@ import pytest
 
 from aql.halfint import CharMultiset, Weight, half, multiset_of
 from aql.parabolic import (
+    MAX_CONE,
     MAX_FRAME,
     MAX_PACKET,
     AlignmentError,
@@ -27,6 +28,7 @@ from aql.parabolic import (
     two_rho_up,
 )
 from aql.partitions import EMPTY, FrameError, FramedPair, Partition, enumerate_compatible
+from aql.thetalift import DEFAULT_BOUND
 
 
 def alg(*blocks):
@@ -212,6 +214,17 @@ def test_k_types_bounded_counts():
         expected = sum(comb(s + d - 1, d - 1) for s in range(bound + 1))
         assert len(k_types_bounded(q, lam, bound)) <= expected
     assert len(k_types_bounded(q, lam, 2)) == 6  # exact here: x1-y2 and y1-x2 are independent
+
+
+def test_k_types_bounded_refuses_oversized_cones():
+    q = ThetaStableAlgebra(((3, 0), (0, 3), (3, 0), (0, 3)))
+    roots = len(delta_u_p(q))
+    assert comb(4 + roots, roots) <= MAX_CONE < comb(5 + roots, roots)
+    with pytest.raises(ValueError, match="cone at bound 5"):
+        k_types_bounded(q, None, 5)
+    # the default bound is never refused on a supported frame: |roots| <= a*b
+    most = max(a * (MAX_FRAME - a) for a in range(MAX_FRAME + 1))
+    assert comb(DEFAULT_BOUND + most, most) <= MAX_CONE
 
 
 def test_k_types_bounded_matches_root_multisets():
