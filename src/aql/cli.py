@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from itertools import takewhile
 from typing import List, Optional
 
 from . import __version__
@@ -177,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--meta",
         action="store_true",
-        help="after the command, write run metadata (exit code, elapsed time,"
-        " cache statistics) as one JSON line on stderr",
+        help="after the command, write run metadata (exit code, elapsed time)"
+        " as one JSON line on stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -235,37 +236,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cache_info() -> dict:
-    """cache_info() of every lru_cache defined in an aql module, by name."""
-    found = {}
-    for name, module in list(sys.modules.items()):
-        if name.startswith("aql."):
-            for fn in vars(module).values():
-                if hasattr(fn, "cache_info") and fn.__module__ == name:
-                    found[f"{name[4:]}.{fn.__qualname__}"] = fn.cache_info()._asdict()
-    return dict(sorted(found.items()))
+def _wants_meta(argv: List[str]) -> bool:
+    """Whether --meta (or an abbreviation argparse accepts) comes before
+    the subcommand; read off the raw argv so that usage errors report too."""
+    top = takewhile(lambda arg: arg.startswith("-"), argv)
+    return any(len(arg) > 2 and "--meta".startswith(arg) for arg in top)
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help
-        return exc.code if isinstance(exc.code, int) else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
     start = time.perf_counter()
     try:
-        code = args.func(args)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        code = 2
-    except Exception as exc:  # exit 1 would read as "verification false"
-        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
-        code = 3
-    if args.meta:
-        meta = {"tool": "aql", "version": __version__, "argv": list(argv or sys.argv[1:]),
-                "exit": code, "elapsed_s": round(time.perf_counter() - start, 6),
-                "caches": _cache_info()}
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on usage errors and 0 on --help
+        code = exc.code if isinstance(exc.code, int) else 2
+    else:
+        try:
+            code = args.func(args)
+        except ValueError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            code = 2
+        except Exception as exc:  # exit 1 would read as "verification false"
+            sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+            code = 3
+    if _wants_meta(argv):
+        meta = {"tool": "aql", "version": __version__, "argv": argv,
+                "exit": code, "elapsed_s": round(time.perf_counter() - start, 6)}
         sys.stderr.write(json.dumps(meta) + "\n")
     return code
 

@@ -11,13 +11,12 @@ sizes, so the actual diagonal values are never stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .halfint import CharMultiset, HalfInt, Weight, exact_int, half
-from .partitions import FrameError, FramedPair, IncompatiblePairError, Partition, conjugate
+from .partitions import FrameError, FramedPair, IncompatiblePairError, Partition
 
 
 class DominanceError(ValueError):
@@ -51,13 +50,16 @@ class ThetaStableAlgebra:
     partition pair) produce the canonical form, in which adjacent blocks
     of the same pure type are merged.  Raw lists are also accepted: packet
     members and lift sources must keep split pure blocks so that per-block
-    characters stay aligned.
+    characters stay aligned.  `signature`, `levi_sizes` (n_i = a_i + b_i)
+    and `total` are set once here; equality, hash and repr use the blocks.
     """
 
     blocks: tuple
 
     def __init__(self, blocks: Iterable[Sequence[int]] = ()):
         norm = []
+        sizes = []
+        a = b = 0
         for ai, bi in blocks:
             # exact_int inlined: packets build many block lists
             if type(ai) is not int or type(bi) is not int:
@@ -65,24 +67,15 @@ class ThetaStableAlgebra:
             if ai < 0 or bi < 0 or (ai == 0 and bi == 0):
                 raise ValueError(f"invalid block ({ai},{bi})")
             norm.append((ai, bi))
-        object.__setattr__(self, "blocks", tuple(norm))
+            sizes.append(ai + bi)
+            a += ai
+            b += bi
+        # one dict update, not four object.__setattr__ calls
+        vars(self).update(blocks=tuple(norm), signature=(a, b), levi_sizes=tuple(sizes), total=a + b)
 
     @property
     def r(self) -> int:
         return len(self.blocks)
-
-    @property
-    def signature(self) -> Tuple[int, int]:
-        return (sum(a for a, _ in self.blocks), sum(b for _, b in self.blocks))
-
-    @property
-    def levi_sizes(self) -> Tuple[int, ...]:
-        """n_i = a_i + b_i for each block."""
-        return tuple(a + b for a, b in self.blocks)
-
-    @property
-    def total(self) -> int:
-        return sum(self.levi_sizes)
 
     @property
     def is_canonical(self) -> bool:
@@ -100,7 +93,8 @@ class ThetaStableAlgebra:
 
     @classmethod
     def parse(cls, text: str) -> "ThetaStableAlgebra":
-        """Parse the flag grammar "a1,b1;a2,b2;...". Empty string = empty algebra."""
+        """Parse the flag grammar "a1,b1;a2,b2;...". Empty string = empty algebra.
+        Lists with more than MAX_SLOTS slots raise ValueError."""
         text = text.strip()
         if not text:
             return cls(())
@@ -113,6 +107,9 @@ class ThetaStableAlgebra:
                 blocks.append((int(parts[0]), int(parts[1])))
             except ValueError:
                 raise ValueError(f"block {i + 1}: non-integer in {chunk!r}") from None
+        slots = sum(ai + bi for ai, bi in blocks)
+        if slots > MAX_SLOTS:
+            raise ValueError(f"block list has {slots} slots: at most {MAX_SLOTS} are allowed")
         return cls(blocks)
 
     def unparse(self) -> str:
@@ -177,20 +174,25 @@ def blocks_from_dominant(H: Weight) -> ThetaStableAlgebra:
     return ThetaStableAlgebra(_merge_pure(blocks))
 
 
-@lru_cache(maxsize=None)
-def partitions_from_blocks(q: ThetaStableAlgebra) -> FramedPair:
-    """The nested pair (alpha, beta): row in block t has alpha-length equal
-    to the number of y-slots in later blocks and beta-length additionally
-    counting the block's own y-slots."""
-    a, b = q.signature
-    alpha_rows: List[int] = []
-    beta_rows: List[int] = []
-    below = b
+def _rows(q: ThetaStableAlgebra) -> Tuple[List[int], List[int]]:
+    """The unstripped (alpha, beta) rows, one per x-slot: alpha_i counts
+    the y-slots in later blocks and beta_i adds those of the row's own
+    block."""
+    alpha: List[int] = []
+    beta: List[int] = []
+    below = q.signature[1]
     for ai, bi in q.blocks:
         below -= bi
-        alpha_rows.extend([below] * ai)
-        beta_rows.extend([below + bi] * ai)
-    return FramedPair(a, b, Partition(alpha_rows), Partition(beta_rows))
+        alpha += [below] * ai
+        beta += [below + bi] * ai
+    return alpha, beta
+
+
+def partitions_from_blocks(q: ThetaStableAlgebra) -> FramedPair:
+    """The nested pair (alpha, beta) of the block list."""
+    alpha, beta = _rows(q)
+    a, b = q.signature
+    return FramedPair(a, b, Partition(alpha), Partition(beta))
 
 
 def algebra_from_pair(pair: FramedPair) -> ThetaStableAlgebra:
@@ -232,23 +234,17 @@ def algebra_from_pair(pair: FramedPair) -> ThetaStableAlgebra:
     return q
 
 
-@lru_cache(maxsize=None)
 def delta_u_p(q: ThetaStableAlgebra) -> Tuple[Tuple[int, int, int], ...]:
     """Noncompact roots of the nilradical, as signed cells (sign, i, j).
 
     A cell (i,j) inside alpha carries the root x_i - y_{b+1-j} with sign +1;
     a cell outside beta carries its negative.
     """
-    pair = partitions_from_blocks(q)
-    a, b = q.signature
-    cells = []
-    for i in range(1, a + 1):
-        for j in range(1, pair.alpha.part(i) + 1):
-            cells.append((1, i, j))
-    for i in range(1, a + 1):
-        for j in range(pair.beta.part(i) + 1, b + 1):
-            cells.append((-1, i, j))
-    return tuple(cells)
+    alpha, beta = _rows(q)
+    b = q.signature[1]
+    plus = [(1, i, j) for i, al in enumerate(alpha, 1) for j in range(1, al + 1)]
+    minus = [(-1, i, j) for i, be in enumerate(beta, 1) for j in range(be + 1, b + 1)]
+    return tuple(plus + minus)
 
 
 def root_of(cell: Tuple[int, int, int], a: int, b: int) -> Weight:
@@ -263,35 +259,38 @@ def root_of(cell: Tuple[int, int, int], a: int, b: int) -> Weight:
 
 def cohomological_degree(q: ThetaStableAlgebra) -> Tuple[int, int, int]:
     """(R, R+, R-): dim of the noncompact nilradical and its split."""
-    pair = partitions_from_blocks(q)
+    alpha, beta = _rows(q)
     a, b = q.signature
-    r_plus = pair.alpha.size()
-    r_minus = a * b - pair.beta.size()
+    r_plus = sum(alpha)
+    r_minus = a * b - sum(beta)
     return (r_plus + r_minus, r_plus, r_minus)
 
 
-@lru_cache(maxsize=None)
 def two_rho_up(q: ThetaStableAlgebra) -> Weight:
-    """Sum of the noncompact nilradical roots; highest weight of V(q)."""
-    pair = partitions_from_blocks(q)
+    """Sum of the noncompact nilradical roots; highest weight of V(q).
+
+    A root x_i - y_j lies in u cap p, up to sign, exactly when its two
+    slots sit in different blocks, and it is positive when the x-slot's
+    block comes first.  So every slot, x or y, gains 2 for each slot of the
+    other kind in a later block and loses 2 for each one in an earlier
+    block.
+    """
     a, b = q.signature
-    alpha_t = conjugate(pair.alpha)
-    beta_t = conjugate(pair.beta)
-    xs = (2 * (pair.alpha.part(i) + pair.beta.part(i) - b) for i in range(1, a + 1))
-    ys = (2 * (a - alpha_t.part(b + 1 - j) - beta_t.part(b + 1 - j)) for j in range(1, b + 1))
+    xs: List[int] = []
+    ys: List[int] = []
+    a_before = b_before = 0
+    for ai, bi in q.blocks:
+        xs += [2 * (b - bi - 2 * b_before)] * ai
+        ys += [2 * (a - ai - 2 * a_before)] * bi
+        a_before += ai
+        b_before += bi
     return Weight(tuple(xs), tuple(ys))
 
 
-@lru_cache(maxsize=None)
 def m_coeffs(q: ThetaStableAlgebra) -> Tuple[int, ...]:
     """m_i = -(n_1+...+n_{i-1}) + (n_{i+1}+...+n_r) for each block."""
-    total = q.total
-    prefix = 0
-    out = []
-    for n_i in q.levi_sizes:
-        out.append(total - n_i - 2 * prefix)
-        prefix += n_i
-    return tuple(out)
+    before = accumulate(q.levi_sizes, initial=0)
+    return tuple(q.total - n_i - 2 * p for n_i, p in zip(q.levi_sizes, before))
 
 
 def centred_string(center: int, n: int) -> range:
@@ -342,15 +341,17 @@ def k_types_bounded(q: ThetaStableAlgebra, lam=None, bound: int = 0) -> List[Wei
     anything is built."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    cells = delta_u_p(q)
-    if comb(bound + len(cells), len(cells)) > MAX_CONE:
+    n_roots = cohomological_degree(q)[0]
+    k = min(bound, n_roots)
+    # C(bound + n_roots, k) >= C(2k, k) >= 2^k, so a large k is refused unformed
+    if k >= MAX_CONE.bit_length() or comb(bound + n_roots, k) > MAX_CONE:
         raise ValueError(
-            f"cone at bound {bound} over {len(cells)} roots has more than"
+            f"cone at bound {bound} over {n_roots} roots has more than"
             f" {MAX_CONE} points; lower the bound"
         )
     a, b = q.signature
     base = lowest_k_type(q, lam)
-    roots = [root_of(c, a, b) for c in cells]
+    roots = [root_of(c, a, b) for c in delta_u_p(q)]
     seen = {base}
     frontier = [base]
     for _ in range(bound):
@@ -436,6 +437,7 @@ def degree(w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]] = None) 
 
 
 MAX_FRAME = 13
+MAX_SLOTS = 1_000
 
 
 def enumerate_standard(a: int, b: int) -> List[ThetaStableAlgebra]:
@@ -460,7 +462,7 @@ def enumerate_standard(a: int, b: int) -> List[ThetaStableAlgebra]:
                 stack.append((blocks + ((ai, bi),), a_left - ai, b_left - bi))
 
     def key(q: ThetaStableAlgebra):
-        pair = partitions_from_blocks(q)
-        return pair.beta.rows, pair.alpha.rows
+        alpha, beta = _rows(q)
+        return beta, alpha
 
     return sorted(found, key=key)

@@ -132,11 +132,8 @@ class LiftReport:
 
 def select_r0(q: ThetaStableAlgebra) -> List[int]:
     """All 1-based indices of blocks of maximal size, smallest first."""
-    sizes = q.levi_sizes
-    if not sizes:
-        return []
-    top = max(sizes)
-    return [i + 1 for i, n in enumerate(sizes) if n == top]
+    top = max(q.levi_sizes, default=0)
+    return [i + 1 for i, n in enumerate(q.levi_sizes) if n == top]
 
 
 def _resolve_chi(chi, n: int, n_prime: int) -> ChiPair:

@@ -151,10 +151,32 @@ def test_unexpected_exception_exits_three(capsys, monkeypatch):
 
 
 def test_oversized_packet_exits_two(capsys):
-    # 1,200 alternating one-slot blocks: C(1200, 600) members
-    code, out, err = run_cli(capsys, "packet", "--blocks", ";".join(["1,0;0,1"] * 600))
+    # 1,000 alternating one-slot blocks (MAX_SLOTS): C(1000, 500) members
+    code, out, err = run_cli(capsys, "packet", "--blocks", ";".join(["1,0;0,1"] * 500))
     assert (code, out) == (2, "")
     assert err == "error: packet has more than 50000 members\n"
+
+
+def test_block_lists_above_max_slots_exit_two_at_parse(capsys, monkeypatch):
+    """MAX_SLOTS bounds --blocks before any algebra is built."""
+    def untouchable(*args):
+        raise AssertionError("built past the slot cap")
+
+    monkeypatch.setattr("aql.parabolic.ThetaStableAlgebra.__init__", untouchable)
+    for argv, slots in (
+        (("aq", "--blocks", "1001,0"), 1001),
+        (("packet", "--blocks", ";".join(["1,0;0,1"] * 600)), 1200),
+        (("lift", "verify", "--blocks", "1000,0;0,1000;2000,2000"), 6000),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: block list has {slots} slots: at most 1000 are allowed\n"
+
+
+def test_block_list_at_max_slots_runs(capsys):
+    code, out, err = run_cli(capsys, "aq", "--blocks", "1000,0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["signature"] == {"a": 1000, "b": 0}
 
 
 @pytest.mark.parametrize(
@@ -226,7 +248,8 @@ def test_atlas_out_file(tmp_path, capsys):
 
 def test_meta_goes_to_stderr_only(capsys, monkeypatch):
     """--meta leaves stdout and the exit code alone and writes one JSON
-    line after the command has run, whatever its exit code."""
+    line after the command has run, whatever its exit code, argparse
+    usage errors included."""
     def broken(q, lam):
         raise RuntimeError("boom")
 
@@ -236,6 +259,7 @@ def test_meta_goes_to_stderr_only(capsys, monkeypatch):
         (("convergence", "check", "--blocks", "1,1;1,1"), 1),
         (("lift", "verify", "--blocks", "2,2", "--bound=-1"), 2),
         (("packet", "--blocks", "1,0;0,1"), 3),
+        (("atlas", "--a", "x", "--b", "1"), 2),
     ):
         code, plain, plain_err = run_cli(capsys, *argv)
         assert code == exit_code
@@ -249,8 +273,6 @@ def test_meta_goes_to_stderr_only(capsys, monkeypatch):
         assert meta["argv"] == ["--meta", *argv]
         assert meta["exit"] == exit_code
         assert meta["elapsed_s"] >= 0
-        info = meta["caches"]["parabolic.partitions_from_blocks"]
-        assert set(info) == {"hits", "misses", "maxsize", "currsize"}
 
 
 BIG_CONE = ("lift", "verify", "--blocks", "3,0;0,3;3,0;0,3;1,1", "--r0", "5")
@@ -268,6 +290,27 @@ def test_oversized_cone_exits_two_before_building(capsys, monkeypatch):
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err.startswith("error: cone at bound 5 over 36 roots") and err.count("\n") == 1
+
+
+def test_oversized_cone_is_refused_before_its_roots_are_listed(capsys, monkeypatch):
+    """The cap reads the root count off the block list: the 90,000 roots
+    of the (300,0),(0,300) source are never listed, whatever the bound."""
+    def untouchable(q):
+        raise AssertionError("delta_u_p called past the cone cap")
+
+    monkeypatch.setattr("aql.parabolic.delta_u_p", untouchable)
+    monkeypatch.delenv("AQL_BOUND", raising=False)
+    for bound in ("3", "1000000"):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "lift", "verify", "--blocks", "300,0;0,300;1,1", "--r0", "3", "--bound", bound
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: cone at bound {bound} over 90000 roots has more than 200000 points;"
+            " lower the bound\n"
+        )
 
 
 def test_cone_under_the_cap_still_runs(capsys, monkeypatch):

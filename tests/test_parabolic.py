@@ -1,3 +1,6 @@
+import gc
+import weakref
+from dataclasses import FrozenInstanceError
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -27,7 +30,14 @@ from aql.parabolic import (
     root_of,
     two_rho_up,
 )
-from aql.partitions import EMPTY, FrameError, FramedPair, Partition, enumerate_compatible
+from aql.partitions import (
+    EMPTY,
+    FrameError,
+    FramedPair,
+    Partition,
+    conjugate,
+    enumerate_compatible,
+)
 from aql.thetalift import DEFAULT_BOUND
 
 
@@ -180,6 +190,106 @@ def test_structural_identities_small():
         for cell in cells:
             total = total + root_of(cell, a, b)
         assert total == two_rho_up(q)
+
+
+# Slow oracles: the nested pair read slot by slot, and the invariants built
+# from it through the partition calculus (row lengths, conjugate diagrams).
+
+
+def oracle_pair(q):
+    """alpha_i (beta_i) counts the y-slots in a strictly (weakly) later
+    block than x-slot i."""
+    a, b = q.signature
+    x_block = [t for t, (ai, _) in enumerate(q.blocks) for _ in range(ai)]
+    y_block = [t for t, (_, bi) in enumerate(q.blocks) for _ in range(bi)]
+    alpha = Partition(sum(1 for u in y_block if u > t) for t in x_block)
+    beta = Partition(sum(1 for u in y_block if u >= t) for t in x_block)
+    return FramedPair(a, b, alpha, beta)
+
+
+def oracle_delta_u_p(q):
+    pair = oracle_pair(q)
+    a, b = q.signature
+    cells = []
+    for i in range(1, a + 1):
+        for j in range(1, pair.alpha.part(i) + 1):
+            cells.append((1, i, j))
+    for i in range(1, a + 1):
+        for j in range(pair.beta.part(i) + 1, b + 1):
+            cells.append((-1, i, j))
+    return tuple(cells)
+
+
+def oracle_cohomological_degree(q):
+    pair = oracle_pair(q)
+    a, b = q.signature
+    r_plus = pair.alpha.size()
+    r_minus = a * b - pair.beta.size()
+    return (r_plus + r_minus, r_plus, r_minus)
+
+
+def oracle_two_rho_up(q):
+    pair = oracle_pair(q)
+    a, b = q.signature
+    alpha_t = conjugate(pair.alpha)
+    beta_t = conjugate(pair.beta)
+    xs = (2 * (pair.alpha.part(i) + pair.beta.part(i) - b) for i in range(1, a + 1))
+    ys = (2 * (a - alpha_t.part(b + 1 - j) - beta_t.part(b + 1 - j)) for j in range(1, b + 1))
+    return Weight(tuple(xs), tuple(ys))
+
+
+def oracle_standard_key(q):
+    pair = oracle_pair(q)
+    return pair.beta.rows, pair.alpha.rows
+
+
+def check_against_oracles(q):
+    assert partitions_from_blocks(q) == oracle_pair(q), q
+    assert delta_u_p(q) == oracle_delta_u_p(q), q
+    assert cohomological_degree(q) == oracle_cohomological_degree(q), q
+    assert two_rho_up(q) == oracle_two_rho_up(q), q
+
+
+def test_invariants_match_the_partition_oracles_on_standard_algebras():
+    for n in range(9):
+        for a in range(n + 1):
+            found = enumerate_standard(a, n - a)
+            assert found == sorted(found, key=oracle_standard_key)
+            for q in found:
+                check_against_oracles(q)
+
+
+def test_invariants_match_the_partition_oracles_on_packet_members():
+    """Raw members keep split pure blocks."""
+    for q in all_standard(6):
+        for member, _ in enumerate_packet(q):
+            check_against_oracles(member)
+
+
+def test_enumerated_algebras_are_not_retained():
+    """Nothing holds an algebra once its caller drops it."""
+    found = enumerate_standard(3, 3)
+    for q in found:
+        partitions_from_blocks(q), delta_u_p(q), cohomological_degree(q), two_rho_up(q)
+        inf_char_aq(q), k_types_bounded(q, None, 1)
+    ref = weakref.ref(found[-1])
+    del found, q
+    gc.collect()
+    assert ref() is None
+
+
+def test_algebra_identity_is_its_block_list():
+    for q in all_standard(4):
+        twin = ThetaStableAlgebra(list(q.blocks))
+        assert twin == q and hash(twin) == hash(q)
+        assert repr(twin) == f"ThetaStableAlgebra(blocks={q.blocks!r})"
+        assert q.signature == (sum(a for a, _ in q.blocks), sum(b for _, b in q.blocks))
+        assert q.levi_sizes == tuple(a + b for a, b in q.blocks)
+        assert q.total == sum(q.signature)
+    assert repr(alg((1, 0), (1, 1))) == "ThetaStableAlgebra(blocks=((1, 0), (1, 1)))"
+    for name in ("blocks", "signature", "levi_sizes", "total"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(q, name, getattr(q, name))
 
 
 def test_inf_char_examples():
