@@ -10,10 +10,9 @@ well-definedness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
-from .halfint import CharMultiset, HalfIntLike, exact_int, format_twice, twice_of
+from .halfint import CharMultiset, Frozen, HalfIntLike, exact_int, format_twice, twice_of
 from .parabolic import ThetaStableAlgebra, _as_lambda, centred_string, m_coeffs
 
 
@@ -21,8 +20,7 @@ class ParityError(ValueError):
     """A character or exponent violates its parity constraint."""
 
 
-@dataclass(frozen=True, init=False)
-class ParameterRestriction:
+class ParameterRestriction(Frozen):
     """A formal sum of summands mu^k (x) sigma_n, with multiset semantics.
 
     Summands (k, n) hold the exponent doubled, as 2k, and are kept in
@@ -31,7 +29,7 @@ class ParameterRestriction:
     ones through `twice`.
     """
 
-    summands: Tuple[Tuple[int, int], ...]
+    _fields = ("summands",)
 
     def __init__(self, summands: Iterable[Tuple[HalfIntLike, int]] = (), *, twice=()):
         items = [*((twice_of(k), n) for k, n in summands), *twice]
@@ -58,8 +56,7 @@ class ParameterRestriction:
         return " + ".join(f"mu^{format_twice(k)} (x) sigma_{n}" for k, n in self.summands)
 
 
-@dataclass(frozen=True)
-class ChiPair:
+class ChiPair(Frozen):
     """The pair of splitting characters, recorded by their circle exponents.
 
     For a dual pair with source rank n' and target rank n, the first
@@ -67,22 +64,18 @@ class ChiPair:
     so alpha1 = n (mod 2) and alpha2 = n' (mod 2).
     """
 
-    alpha1: int
-    alpha2: int
-    n: int
-    n_prime: int
+    _fields = ("alpha1", "alpha2", "n", "n_prime")
 
-    def __post_init__(self):
-        for value in (self.alpha1, self.alpha2, self.n, self.n_prime):
-            exact_int(value)
-        if (self.alpha1 - self.n) % 2 != 0:
-            raise ParityError(
-                f"alpha(chi1)={self.alpha1} must have the parity of n={self.n}"
-            )
-        if (self.alpha2 - self.n_prime) % 2 != 0:
-            raise ParityError(
-                f"alpha(chi2)={self.alpha2} must have the parity of n'={self.n_prime}"
-            )
+    def __init__(self, alpha1: int, alpha2: int, n: int, n_prime: int):
+        alpha1, alpha2, n, n_prime = map(exact_int, (alpha1, alpha2, n, n_prime))
+        if (alpha1 - n) % 2 != 0:
+            raise ParityError(f"alpha(chi1)={alpha1} must have the parity of n={n}")
+        if (alpha2 - n_prime) % 2 != 0:
+            raise ParityError(f"alpha(chi2)={alpha2} must have the parity of n'={n_prime}")
+        object.__setattr__(self, "alpha1", alpha1)
+        object.__setattr__(self, "alpha2", alpha2)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n_prime", n_prime)
 
     @classmethod
     def default(cls, n: int, n_prime: int) -> "ChiPair":

@@ -13,9 +13,9 @@ therefore reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .halfint import Frozen
 from .parabolic import (
     ThetaStableAlgebra,
     cohomological_degree,
@@ -31,14 +31,16 @@ def predecessor(q: ThetaStableAlgebra, r0: int) -> ThetaStableAlgebra:
     return _source_algebra(q, r0).canonicalize()
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(Frozen):
     """One node of a certificate chain; r0 is the index used to step back
     from this node (None at the base)."""
 
-    signature: Tuple[int, int]
-    blocks: ThetaStableAlgebra
-    r0: Optional[int]
+    _fields = ("signature", "blocks", "r0")
+
+    def __init__(self, signature: Tuple[int, int], blocks: ThetaStableAlgebra, r0: Optional[int]):
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "r0", r0)
 
     def to_json(self) -> dict:
         return {
@@ -48,12 +50,14 @@ class ChainStep:
         }
 
 
-@dataclass(frozen=True)
-class ConvergenceCertificate:
+class ConvergenceCertificate(Frozen):
     """A replayable chain from a compact-Levi base up to the input."""
 
-    steps: Tuple[ChainStep, ...]
-    lax: bool
+    _fields = ("steps", "lax")
+
+    def __init__(self, steps: Tuple[ChainStep, ...], lax: bool):
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "lax", lax)
 
     @property
     def length(self) -> int:
@@ -135,19 +139,26 @@ def validate_certificate(
     return problems
 
 
-@dataclass(frozen=True)
-class AtlasRow:
+class AtlasRow(Frozen):
     """One classified module of U(a,b) with its invariants."""
 
-    pair_alpha: Tuple[int, ...]
-    pair_beta: Tuple[int, ...]
-    blocks: ThetaStableAlgebra
-    R: int
-    R_plus: int
-    R_minus: int
-    packet_size: int
-    convergent: bool
-    chain: Tuple[Tuple[int, int], ...]
+    _fields = ("pair_alpha", "pair_beta", "blocks", "R", "R_plus", "R_minus", "packet_size",
+               "convergent", "chain")
+
+    def __init__(
+        self, pair_alpha: Tuple[int, ...], pair_beta: Tuple[int, ...],
+        blocks: ThetaStableAlgebra, R: int, R_plus: int, R_minus: int, packet_size: int,
+        convergent: bool, chain: Tuple[Tuple[int, int], ...],
+    ):
+        object.__setattr__(self, "pair_alpha", pair_alpha)
+        object.__setattr__(self, "pair_beta", pair_beta)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "R_plus", R_plus)
+        object.__setattr__(self, "R_minus", R_minus)
+        object.__setattr__(self, "packet_size", packet_size)
+        object.__setattr__(self, "convergent", convergent)
+        object.__setattr__(self, "chain", chain)
 
     def to_json(self) -> dict:
         return {

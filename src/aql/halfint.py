@@ -12,8 +12,8 @@ a and a y-part of length b, matching the diagonal Cartan of U(a) x U(b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import add
+from functools import total_ordering
+from operator import add, attrgetter
 from typing import Iterable, Tuple, Union
 
 
@@ -31,7 +31,40 @@ def format_twice(twice: int) -> str:
     return f"{twice}/2"
 
 
-class HalfInt:
+class Frozen:
+    """Base of the immutable value classes.  `_fields` names the fields in
+    constructor order and `__init__` sets each once, one `object.__setattr__`
+    call per field (a shared loop slowed the lift and atlas paths).
+    Equality (same class only) and hash read `_compared` (all fields unless
+    narrowed), repr reads `_fields`; assignment and deletion raise
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = vars(cls).get("_compared", cls._fields)
+        get = attrgetter(*names)
+        cls._values = property(get if len(names) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class HalfInt(Frozen):
     """An exact element of (1/2)Z at the parse and print boundary.
 
     ``HalfInt(k)`` builds the integer k; non-integral values come from
@@ -39,20 +72,21 @@ class HalfInt:
     do not exist here and floats are rejected outright.
     """
 
-    __slots__ = ("twice",)
+    __slots__ = _fields = ("twice",)
 
     def __init__(self, value: Union["HalfInt", int]):
-        if isinstance(value, HalfInt):
-            self.twice = value.twice
-        else:
-            self.twice = 2 * exact_int(value)
+        twice = value.twice if isinstance(value, HalfInt) else 2 * exact_int(value)
+        object.__setattr__(self, "twice", twice)
 
     @classmethod
     def from_twice(cls, twice: int) -> "HalfInt":
         """Build k from the integer 2k."""
         h = cls.__new__(cls)
-        h.twice = twice
+        object.__setattr__(h, "twice", twice)
         return h
+
+    def __reduce__(self):  # slotted and immutable: rebuild through from_twice
+        return type(self).from_twice, (self.twice,)
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
@@ -109,14 +143,32 @@ def twice_of(value: HalfIntLike) -> int:
     return 2 * int(s)
 
 
-@dataclass(frozen=True, order=True)
-class Weight:
+@total_ordering
+class Weight(Frozen):
     """A weight of U(a) x U(b), split into its x- and y-coordinates, each
     held as a tuple of doubled ints.  Weights of one signature sort by
     their coordinates."""
 
-    x: Tuple[int, ...]
-    y: Tuple[int, ...]
+    _fields = ("x", "y")
+
+    def __init__(self, x: Tuple[int, ...], y: Tuple[int, ...]):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    # the cone search hashes, compares and sorts weights: spelled out here,
+    # as the base's `_values` property costs the lift loop about 7%
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.x == other.x and self.y == other.y
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) < (other.x, other.y)
+        return NotImplemented
 
     @classmethod
     def of(cls, xs: Iterable[HalfIntLike], ys: Iterable[HalfIntLike]) -> "Weight":
@@ -160,8 +212,7 @@ def shift(w: Weight, c: HalfIntLike) -> Weight:
     return Weight(tuple(v + c for v in w.x), tuple(v + c for v in w.y))
 
 
-@dataclass(frozen=True, init=False)
-class CharMultiset:
+class CharMultiset(Frozen):
     """A multiset of half-integers, compared up to permutation.
 
     Infinitesimal characters live here: a+b coordinates with multiplicity,
@@ -170,7 +221,7 @@ class CharMultiset:
     through `twice`.  Iteration yields them as `HalfInt`.
     """
 
-    entries: Tuple[int, ...]
+    _fields = ("entries",)
 
     def __init__(self, entries: Iterable[HalfIntLike] = (), *, twice: Iterable[int] = ()):
         items = sorted([*map(twice_of, entries), *twice], reverse=True)

@@ -10,12 +10,11 @@ sizes, so the actual diagonal values are never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .halfint import CharMultiset, HalfInt, Weight, exact_int, half
+from .halfint import CharMultiset, Frozen, HalfInt, Weight, exact_int, half
 from .partitions import FrameError, FramedPair, IncompatiblePairError, Partition
 
 
@@ -42,8 +41,7 @@ def _merge_pure(blocks: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ThetaStableAlgebra:
+class ThetaStableAlgebra(Frozen):
     """An ordered block decomposition ((a_1,b_1),...,(a_r,b_r)).
 
     Standard constructions (from a dominant element or from a compatible
@@ -54,7 +52,7 @@ class ThetaStableAlgebra:
     and `total` are set once here; equality, hash and repr use the blocks.
     """
 
-    blocks: tuple
+    _fields = ("blocks",)
 
     def __init__(self, blocks: Iterable[Sequence[int]] = ()):
         norm = []
@@ -70,8 +68,10 @@ class ThetaStableAlgebra:
             sizes.append(ai + bi)
             a += ai
             b += bi
-        # one dict update, not four object.__setattr__ calls
-        vars(self).update(blocks=tuple(norm), signature=(a, b), levi_sizes=tuple(sizes), total=a + b)
+        object.__setattr__(self, "blocks", tuple(norm))
+        object.__setattr__(self, "signature", (a, b))
+        object.__setattr__(self, "levi_sizes", tuple(sizes))
+        object.__setattr__(self, "total", a + b)
 
     @property
     def r(self) -> int:
@@ -126,11 +126,10 @@ class ThetaStableAlgebra:
         return "(" + ";".join(f"{a},{b}" for a, b in self.blocks) + ")"
 
 
-@dataclass(frozen=True)
-class LambdaCharacter:
+class LambdaCharacter(Frozen):
     """Differential of a unitary character of the Levi: one integer per block."""
 
-    values: tuple
+    _fields = ("values",)
 
     def __init__(self, values: Iterable[int] = ()):
         vals = tuple(exact_int(v) for v in values)
@@ -336,25 +335,27 @@ MAX_CONE = 200_000
 def k_types_bounded(q: ThetaStableAlgebra, lam=None, bound: int = 0) -> List[Weight]:
     """The cone lambda + 2rho(u cap p) + sum n_tau tau truncated at total
     coefficient <= bound.  A superset of the actual K-types, which is all
-    the minimal-degree search needs.  Cones whose stars-and-bars count
-    C(bound + |roots|, |roots|) exceeds MAX_CONE raise ValueError before
-    anything is built."""
+    the minimal-degree search needs.  Before anything is built, a cone of
+    more than MAX_CONE points (counted as C(bound + |roots|, |roots|)), or
+    whose points and roots (none are listed at bound 0) hold more than
+    MAX_CONE * MAX_FRAME coordinates, raises ValueError."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    n_roots = cohomological_degree(q)[0]
+    n_roots = cohomological_degree(q)[0] if bound else 0
     k = min(bound, n_roots)
     # C(bound + n_roots, k) >= C(2k, k) >= 2^k, so a large k is refused unformed
-    if k >= MAX_CONE.bit_length() or comb(bound + n_roots, k) > MAX_CONE:
+    points = MAX_CONE + 1 if k >= MAX_CONE.bit_length() else comb(bound + n_roots, k)
+    if points > MAX_CONE or (points + n_roots) * q.total > MAX_CONE * MAX_FRAME:
+        limit = f"{MAX_CONE} points" if points > MAX_CONE else f"{MAX_CONE * MAX_FRAME} coordinates"
         raise ValueError(
-            f"cone at bound {bound} over {n_roots} roots has more than"
-            f" {MAX_CONE} points; lower the bound"
+            f"cone at bound {bound} over {n_roots} roots has more than {limit}; lower the bound"
         )
     a, b = q.signature
     base = lowest_k_type(q, lam)
-    roots = [root_of(c, a, b) for c in delta_u_p(q)]
+    roots = [root_of(c, a, b) for c in delta_u_p(q)] if bound else []
     seen = {base}
     frontier = [base]
-    for _ in range(bound):
+    for _ in range(bound if roots else 0):  # no roots: the base point is the cone
         nxt = []
         for w in frontier:
             for tau in roots:

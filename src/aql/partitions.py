@@ -10,10 +10,9 @@ decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Set, Tuple
 
-from .halfint import exact_int
+from .halfint import Frozen, exact_int
 
 
 class FrameError(ValueError):
@@ -24,11 +23,10 @@ class IncompatiblePairError(ValueError):
     """A nested pair admits no block decomposition."""
 
 
-@dataclass(frozen=True, init=False)
-class Partition:
+class Partition(Frozen):
     """A weakly decreasing tuple of non-negative parts, trailing zeros stripped."""
 
-    rows: tuple
+    _fields = ("rows",)
 
     def __init__(self, rows: Iterable[int] = ()):
         parts = [exact_int(p) for p in rows]
@@ -80,22 +78,22 @@ def complement(p: Partition, a: int, b: int) -> Partition:
     return Partition(b - p.part(a - i) for i in range(a))
 
 
-@dataclass(frozen=True)
-class FramedPair:
+class FramedPair(Frozen):
     """A nested pair alpha <= beta of diagrams inside the a x b frame."""
 
-    a: int
-    b: int
-    alpha: Partition
-    beta: Partition
+    _fields = ("a", "b", "alpha", "beta")
 
-    def __post_init__(self):
-        if exact_int(self.a) < 0 or exact_int(self.b) < 0:
+    def __init__(self, a: int, b: int, alpha: Partition, beta: Partition):
+        if exact_int(a) < 0 or exact_int(b) < 0:
             raise FrameError("frame sides must be non-negative")
-        if not self.beta.fits(self.a, self.b):
-            raise FrameError(f"beta {self.beta} not contained in frame {self.a}x{self.b}")
-        if not self.beta.contains(self.alpha):
-            raise FrameError(f"alpha {self.alpha} not contained in beta {self.beta}")
+        if not beta.fits(a, b):
+            raise FrameError(f"beta {beta} not contained in frame {a}x{b}")
+        if not beta.contains(alpha):
+            raise FrameError(f"alpha {alpha} not contained in beta {beta}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     def row_pairs(self) -> List[Tuple[int, int]]:
         """(alpha_i, beta_i) for every row of the frame, zero-padded."""

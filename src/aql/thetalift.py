@@ -22,10 +22,9 @@ All verdicts are exact; nothing is ever compared approximately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .halfint import CharMultiset, HalfInt, Weight, format_twice, half, shift
+from .halfint import CharMultiset, Frozen, HalfInt, Weight, format_twice, half, shift
 from .arthur import (
     ChiPair,
     ParityError,
@@ -54,18 +53,25 @@ class HoweBoundError(ValueError):
 DEFAULT_BOUND = 3
 
 
-@dataclass(frozen=True)
-class LiftDatum:
+class LiftDatum(Frozen):
     """Everything defining one instance of the lift construction."""
 
-    target_q: ThetaStableAlgebra
-    target_lambda: LambdaCharacter
-    r0: int
-    chi: ChiPair
-    source_q: ThetaStableAlgebra
-    source_lambda: LambdaCharacter
-    det_shift: HalfInt
-    mslk: Tuple[int, int, int, int]
+    _fields = ("target_q", "target_lambda", "r0", "chi", "source_q", "source_lambda", "det_shift",
+               "mslk")
+
+    def __init__(
+        self, target_q: ThetaStableAlgebra, target_lambda: LambdaCharacter, r0: int,
+        chi: ChiPair, source_q: ThetaStableAlgebra, source_lambda: LambdaCharacter,
+        det_shift: HalfInt, mslk: Tuple[int, int, int, int],
+    ):
+        object.__setattr__(self, "target_q", target_q)
+        object.__setattr__(self, "target_lambda", target_lambda)
+        object.__setattr__(self, "r0", r0)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "source_q", source_q)
+        object.__setattr__(self, "source_lambda", source_lambda)
+        object.__setattr__(self, "det_shift", det_shift)
+        object.__setattr__(self, "mslk", mslk)
 
     @property
     def target_signature(self) -> Tuple[int, int]:
@@ -95,17 +101,25 @@ class LiftDatum:
         }
 
 
-@dataclass(frozen=True)
-class LiftReport:
-    """Verdicts of the four checks, with the computed intermediates."""
+class LiftReport(Frozen):
+    """Verdicts of the four checks, with the computed intermediates.
+    Equality and hash leave out `details`."""
 
-    datum: LiftDatum
-    parameter_ok: bool
-    infchar_ok: bool
-    ktype_ok: bool
-    mindegree_ok: bool
-    bound: int
-    details: dict = field(compare=False)
+    _fields = ("datum", "parameter_ok", "infchar_ok", "ktype_ok", "mindegree_ok", "bound",
+               "details")
+    _compared = _fields[:-1]
+
+    def __init__(
+        self, datum: LiftDatum, parameter_ok: bool, infchar_ok: bool, ktype_ok: bool,
+        mindegree_ok: bool, bound: int, details: dict,
+    ):
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "parameter_ok", parameter_ok)
+        object.__setattr__(self, "infchar_ok", infchar_ok)
+        object.__setattr__(self, "ktype_ok", ktype_ok)
+        object.__setattr__(self, "mindegree_ok", mindegree_ok)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "details", details)
 
     @property
     def checks(self) -> dict:

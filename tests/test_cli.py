@@ -313,6 +313,56 @@ def test_oversized_cone_is_refused_before_its_roots_are_listed(capsys, monkeypat
         )
 
 
+WIDE_SOURCE = ("lift", "verify", "--blocks", "200,0;0,200;1,1", "--r0", "3")
+
+
+def test_bound_zero_lists_no_roots(capsys, monkeypatch):
+    """At bound 0 the cone is the lowest K-type alone, so the 40,000 roots
+    of the (200,0),(0,200) source are never listed."""
+    def untouchable(q):
+        raise AssertionError("delta_u_p called at bound 0")
+
+    monkeypatch.setattr("aql.parabolic.delta_u_p", untouchable)
+    monkeypatch.delenv("AQL_BOUND", raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *WIDE_SOURCE, "--bound", "0")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out.endswith("mindegree_ok: true (bound 0)\nall checks passed\n")
+
+
+def test_wide_cone_is_refused_by_its_coordinates(capsys, monkeypatch):
+    """At bound 1 the cone of the same source has 40,001 points, under
+    MAX_CONE, but with its roots it holds 80,001 weights of 400 coordinates,
+    over the MAX_CONE * MAX_FRAME budget."""
+    def untouchable(q):
+        raise AssertionError("delta_u_p called past the cone budget")
+
+    monkeypatch.setattr("aql.parabolic.delta_u_p", untouchable)
+    monkeypatch.delenv("AQL_BOUND", raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *WIDE_SOURCE, "--bound", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "error: cone at bound 1 over 40000 roots has more than 2600000 coordinates"
+    )
+    assert err.count("\n") == 1
+
+
+def test_a_cone_without_roots_ends_at_once_whatever_the_bound(capsys, monkeypatch):
+    """The (1,0) source has no root, so its cone is one point at any bound;
+    the search must not walk through the bound's empty levels."""
+    monkeypatch.delenv("AQL_BOUND", raising=False)
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "lift", "verify", "--blocks", "1,0;1,1", "--r0", "2", "--bound", str(10**12)
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.endswith(f"mindegree_ok: true (bound {10**12})\nall checks passed\n")
+
+
 def test_cone_under_the_cap_still_runs(capsys, monkeypatch):
     """C(4+36, 36) = 91,390 stays under MAX_CONE."""
     monkeypatch.delenv("AQL_BOUND", raising=False)

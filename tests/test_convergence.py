@@ -165,12 +165,12 @@ def test_lax_is_weaker_than_strict():
 
 
 def test_validate_rejects_tampered_certificate():
-    import dataclasses
-
     q = alg((1, 0), (2, 2), (0, 1))
     _, cert = is_convergent(q)
-    bad_step = dataclasses.replace(cert.steps[1], r0=1)
-    bad = dataclasses.replace(cert, steps=(cert.steps[0], bad_step))
+    top = cert.steps[1]
+    assert top.r0 != 1
+    bad_step = ChainStep(signature=top.signature, blocks=top.blocks, r0=1)
+    bad = ConvergenceCertificate(steps=(cert.steps[0], bad_step), lax=cert.lax)
     assert validate_certificate(bad, q) != []
 
 

@@ -1,0 +1,209 @@
+"""The contract shared by every value class: equality within one class,
+hashing, repr, immutability, keyword construction, pickling and copying."""
+
+import copy
+import os
+import pickle
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from aql.arthur import ChiPair, ParameterRestriction
+from aql.convergence import AtlasRow, ChainStep, ConvergenceCertificate
+from aql.halfint import CharMultiset, HalfInt, Weight
+from aql.parabolic import LambdaCharacter, ThetaStableAlgebra
+from aql.partitions import FramedPair, Partition
+from aql.thetalift import LiftDatum, LiftReport, build_source, full_report
+
+Q = ThetaStableAlgebra(((1, 0), (1, 1)))
+DATUM = build_source(Q, (1, 0), 2, (1, 1))
+REPORT = full_report(Q, (1, 0), 2, (1, 1))
+BASE_STEP = ChainStep(signature=(2, 0), blocks=ThetaStableAlgebra(((2, 0),)), r0=None)
+
+# class -> (keyword arguments under the field names, the fields they set)
+CASES = {
+    HalfInt: ({"value": 3}, ("twice",)),
+    Weight: ({"x": (2, 0), "y": (-1,)}, ("x", "y")),
+    CharMultiset: ({"entries": [1, "1/2", 2]}, ("entries",)),
+    Partition: ({"rows": [3, 1, 0]}, ("rows",)),
+    FramedPair: (
+        {"a": 2, "b": 3, "alpha": Partition([1]), "beta": Partition([3, 1])},
+        ("a", "b", "alpha", "beta"),
+    ),
+    ThetaStableAlgebra: ({"blocks": [(1, 0), (1, 1)]}, ("blocks",)),
+    LambdaCharacter: ({"values": [1, 0]}, ("values",)),
+    ParameterRestriction: ({"summands": [("1/2", 2), (0, 1)]}, ("summands",)),
+    ChiPair: (
+        {"alpha1": 1, "alpha2": 1, "n": 3, "n_prime": 1},
+        ("alpha1", "alpha2", "n", "n_prime"),
+    ),
+    LiftDatum: (
+        {
+            "target_q": DATUM.target_q,
+            "target_lambda": DATUM.target_lambda,
+            "r0": DATUM.r0,
+            "chi": DATUM.chi,
+            "source_q": DATUM.source_q,
+            "source_lambda": DATUM.source_lambda,
+            "det_shift": DATUM.det_shift,
+            "mslk": DATUM.mslk,
+        },
+        (
+            "target_q", "target_lambda", "r0", "chi", "source_q", "source_lambda", "det_shift",
+            "mslk",
+        ),
+    ),
+    LiftReport: (
+        {
+            "datum": REPORT.datum,
+            "parameter_ok": True,
+            "infchar_ok": True,
+            "ktype_ok": True,
+            "mindegree_ok": True,
+            "bound": 3,
+            "details": {"note": ["a", 1]},
+        },
+        ("datum", "parameter_ok", "infchar_ok", "ktype_ok", "mindegree_ok", "bound", "details"),
+    ),
+    ChainStep: ({"signature": (3, 1), "blocks": Q, "r0": 2}, ("signature", "blocks", "r0")),
+    ConvergenceCertificate: ({"steps": (BASE_STEP,), "lax": False}, ("steps", "lax")),
+    AtlasRow: (
+        {
+            "pair_alpha": (1,),
+            "pair_beta": (2, 1),
+            "blocks": Q,
+            "R": 2,
+            "R_plus": 1,
+            "R_minus": 1,
+            "packet_size": 3,
+            "convergent": True,
+            "chain": ((1, 0), (2, 1)),
+        },
+        (
+            "pair_alpha", "pair_beta", "blocks", "R", "R_plus", "R_minus", "packet_size",
+            "convergent", "chain",
+        ),
+    ),
+}
+
+classes = pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+
+
+def build(cls):
+    kwargs, _ = CASES[cls]
+    return cls(**kwargs)
+
+
+def field_values(value):
+    return tuple(getattr(value, name) for name in CASES[type(value)][1])
+
+
+@classes
+def test_equal_copies_are_equal_and_hash_alike(cls):
+    one, two = build(cls), build(cls)
+    assert one is not two
+    assert one == two and not one != two
+    assert hash(one) == hash(two)
+
+
+@classes
+def test_a_plain_tuple_of_the_fields_is_not_equal(cls):
+    value = build(cls)
+    fields = field_values(value)
+    assert value != fields and fields != value
+    assert value.__eq__(fields) is NotImplemented
+
+
+@classes
+def test_assignment_and_deletion_raise_and_change_nothing(cls):
+    value = build(cls)
+    before = field_values(value)
+    for name in CASES[cls][1]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.unknown_field = 1
+    assert field_values(value) == before
+    assert value == build(cls)
+
+
+@classes
+def test_keyword_and_positional_construction_agree(cls):
+    kwargs, _ = CASES[cls]
+    assert cls(**kwargs) == cls(*kwargs.values())
+
+
+@classes
+def test_pickle_and_deepcopy_round_trip(cls):
+    value = build(cls)
+    for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(clone) is cls
+        assert clone == value and hash(clone) == hash(value)
+        assert repr(clone) == repr(value)
+        with pytest.raises(AttributeError):
+            setattr(clone, CASES[cls][1][0], None)
+
+
+def test_algebra_copies_keep_their_sizes():
+    q = ThetaStableAlgebra(((2, 1), (0, 3), (1, 1)))
+    for clone in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q)):
+        assert (clone.signature, clone.levi_sizes, clone.total) == ((3, 5), (3, 3, 2), 8)
+
+
+def test_weights_sort_by_their_coordinates():
+    rng = random.Random(7)
+
+    def coords():
+        return tuple(rng.randint(-3, 3) for _ in range(2))
+
+    weights = [Weight(coords(), coords()) for _ in range(200)]
+    assert sorted(weights) == sorted(weights, key=lambda w: (w.x, w.y))
+    lo, hi = Weight((0, 0), (1,)), Weight((0, 1), (0,))
+    assert lo < hi and lo <= hi and hi > lo and hi >= lo and lo <= lo and not lo < lo
+    with pytest.raises(TypeError):
+        lo < ((0, 1), (0,))
+
+
+def test_lift_report_equality_ignores_details():
+    kwargs, _ = CASES[LiftReport]
+    one = LiftReport(**kwargs)
+    two = LiftReport(**{**kwargs, "details": {"other": True}})
+    assert one == two and hash(one) == hash(two)
+    assert one != LiftReport(**{**kwargs, "mindegree_ok": False})
+    assert "details={'note': ['a', 1]}" in repr(one)
+
+
+def test_reprs_are_pinned():
+    q = ThetaStableAlgebra(((1, 0), (1, 1)))
+    assert repr(q) == "ThetaStableAlgebra(blocks=((1, 0), (1, 1)))"
+    assert repr(Weight((2, 0), (-1,))) == "Weight(x=(2, 0), y=(-1,))"
+    assert repr(ChiPair(1, 1, 3, 1)) == "ChiPair(alpha1=1, alpha2=1, n=3, n_prime=1)"
+    assert repr(HalfInt.parse("-3/2")) == "HalfInt(-3/2)"
+
+
+def test_a_halfint_in_a_set_stays_found():
+    h = HalfInt(1)
+    found = {h}
+    with pytest.raises(AttributeError):
+        h.twice = 5
+    assert h in found and HalfInt(1) in found and 1 in found
+    assert pickle.loads(pickle.dumps(h)) == h == HalfInt.from_twice(2)
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """Start-up cost: importing the CLI pulls in none of the heavy
+    introspection modules; -S keeps site packages out of the picture."""
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = f"import sys, aql.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
