@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from itertools import takewhile
@@ -27,6 +28,7 @@ from .parabolic import (
     _as_lambda,
     cohomological_degree,
     enumerate_packet,
+    enumerate_standard,
     inf_char_aq,
     lowest_k_type,
     partitions_from_blocks,
@@ -36,10 +38,8 @@ from .partitions import enumerate_compatible
 from .thetalift import DEFAULT_BOUND, build_source, full_report
 
 BOUND_ENV = "AQL_BOUND"
-LAMBDA_HELP = (
-    "per-block character, e.g. '2,1,0' (default 0); attach negative values"
-    " with '=', as in --lambda=-1,-2"
-)
+LAMBDA_HELP = "per-block character, e.g. '2,1,0' or '-1,-2' (default 0)"
+INTEGER_LIST = re.compile(r"-?\d+(,-?\d+)*")
 
 
 def _emit(doc) -> None:
@@ -72,11 +72,10 @@ def _default_bound(args) -> int:
 
 
 def cmd_partitions_enumerate(args) -> int:
-    pairs = enumerate_compatible(args.a, args.b)
     if args.count:
-        _emit(len(pairs))
+        _emit(len(enumerate_standard(args.a, args.b)))  # one algebra per pair
     else:
-        _emit([p.to_json() for p in pairs])
+        _emit([p.to_json() for p in enumerate_compatible(args.a, args.b)])
     return 0
 
 
@@ -210,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r0", type=int, help="1-based distinguished block (default: first maximal)")
         p.add_argument(
             "--chi",
-            help="character exponents 'a1,a2' (default: minimal parities);"
-            " attach negative values with '=', as in --chi=-1,1",
+            help="character exponents 'a1,a2', e.g. '-1,1' (default: minimal parities)",
         )
         if name == "verify":
             p.add_argument("--bound", type=int, help=f"cone bound for the degree check (default {DEFAULT_BOUND}, env {BOUND_ENV})")
@@ -243,11 +241,24 @@ def _wants_meta(argv: List[str]) -> bool:
     return any(len(arg) > 2 and "--meta".startswith(arg) for arg in top)
 
 
+def _attach_values(argv: List[str]) -> List[str]:
+    """argv with each integer list after --lambda or --chi joined to its
+    option as "--lambda=-1,-2": argparse reads a separate "-1,-2" as an
+    option."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--lambda", "--chi") and INTEGER_LIST.fullmatch(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     start = time.perf_counter()
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_attach_values(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         code = exc.code if isinstance(exc.code, int) else 2

@@ -16,13 +16,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .halfint import Frozen
-from .parabolic import (
-    ThetaStableAlgebra,
-    cohomological_degree,
-    enumerate_standard,
-    packet_size,
-    partitions_from_blocks,
-)
+from .parabolic import ThetaStableAlgebra, _degree_of_rows, _rows, enumerate_standard, packet_size
 from .thetalift import _source_algebra
 
 
@@ -200,21 +194,30 @@ def atlas(a: int, b: int, lax: bool = False) -> List[AtlasRow]:
     if a == 0 and b == 0:
         return []
     rows = []
+    shared = {}  # one tuple per distinct stripped row or chain, for every row
+    packets = {}  # the packet size depends only on the multiset of block sizes
     for q in enumerate_standard(a, b):
-        pair = partitions_from_blocks(q)
-        R, R_plus, R_minus = cohomological_degree(q)
+        alpha, beta = _rows(q)
+        # rows weakly decrease, so their nonzero parts are the stripped partition
+        alpha_t = tuple(filter(None, alpha))
+        beta_t = tuple(filter(None, beta))
+        R, R_plus, R_minus = _degree_of_rows(alpha, beta, a, b)
+        sizes = tuple(sorted(q.levi_sizes))
+        if sizes not in packets:
+            packets[sizes] = packet_size(q)
         ok, cert = is_convergent(q, lax)
+        chain = tuple(cert.signature_chain()) if cert else ()
         rows.append(
             AtlasRow(
-                pair_alpha=pair.alpha.rows,
-                pair_beta=pair.beta.rows,
+                pair_alpha=shared.setdefault(alpha_t, alpha_t),
+                pair_beta=shared.setdefault(beta_t, beta_t),
                 blocks=q,
                 R=R,
                 R_plus=R_plus,
                 R_minus=R_minus,
-                packet_size=packet_size(q),
+                packet_size=packets[sizes],
                 convergent=ok,
-                chain=tuple(cert.signature_chain()) if cert else (),
+                chain=shared.setdefault(chain, chain),
             )
         )
     return rows

@@ -186,7 +186,7 @@ class Weight(Frozen):
         )
 
     def __add__(self, other: "Weight") -> "Weight":
-        if self.signature != other.signature:
+        if len(self.x) != len(other.x) or len(self.y) != len(other.y):
             raise ValueError("signature mismatch")
         return Weight(tuple(map(add, self.x, other.x)), tuple(map(add, self.y, other.y)))
 

@@ -58,13 +58,14 @@ class ThetaStableAlgebra(Frozen):
         norm = []
         sizes = []
         a = b = 0
-        for ai, bi in blocks:
+        for block in blocks:
+            ai, bi = block
             # exact_int inlined: packets build many block lists
             if type(ai) is not int or type(bi) is not int:
                 raise TypeError(f"block sizes must be ints, got ({ai!r},{bi!r})")
             if ai < 0 or bi < 0 or (ai == 0 and bi == 0):
                 raise ValueError(f"invalid block ({ai},{bi})")
-            norm.append((ai, bi))
+            norm.append(block if type(block) is tuple else (ai, bi))  # shared, not copied
             sizes.append(ai + bi)
             a += ai
             b += bi
@@ -256,13 +257,16 @@ def root_of(cell: Tuple[int, int, int], a: int, b: int) -> Weight:
     return Weight(tuple(xs), tuple(ys))
 
 
-def cohomological_degree(q: ThetaStableAlgebra) -> Tuple[int, int, int]:
-    """(R, R+, R-): dim of the noncompact nilradical and its split."""
-    alpha, beta = _rows(q)
-    a, b = q.signature
+def _degree_of_rows(alpha: List[int], beta: List[int], a: int, b: int) -> Tuple[int, int, int]:
+    """(R, R+, R-) from the rows of `_rows` in the a x b frame."""
     r_plus = sum(alpha)
     r_minus = a * b - sum(beta)
     return (r_plus + r_minus, r_plus, r_minus)
+
+
+def cohomological_degree(q: ThetaStableAlgebra) -> Tuple[int, int, int]:
+    """(R, R+, R-): dim of the noncompact nilradical and its split."""
+    return _degree_of_rows(*_rows(q), *q.signature)
 
 
 def two_rho_up(q: ThetaStableAlgebra) -> Weight:
@@ -450,6 +454,8 @@ def enumerate_standard(a: int, b: int) -> List[ThetaStableAlgebra]:
         raise FrameError("frame sides must be non-negative")
     if a + b > MAX_FRAME:
         raise FrameError(f"frame {a}x{b} is too large: a+b must be at most {MAX_FRAME}")
+    # each (ai, bi) is made once, so equal blocks of the found lists share it
+    pairs = [[(ai, bi) for bi in range(b + 1)] for ai in range(a + 1)]
     found, stack = [], [((), a, b)]
     while stack:
         blocks, a_left, b_left = stack.pop()
@@ -460,7 +466,7 @@ def enumerate_standard(a: int, b: int) -> List[ThetaStableAlgebra]:
             for bi in range(b_left + 1):
                 if (ai, bi) == (0, 0) or (ai == 0 and pa == 0) or (bi == 0 and pb == 0):
                     continue
-                stack.append((blocks + ((ai, bi),), a_left - ai, b_left - bi))
+                stack.append((blocks + (pairs[ai][bi],), a_left - ai, b_left - bi))
 
     def key(q: ThetaStableAlgebra):
         alpha, beta = _rows(q)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 from aql.cli import run
+from aql.partitions import enumerate_compatible
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(resources.files("aql").joinpath("schema.json").read_text())
@@ -70,6 +71,24 @@ def test_golden_enumerate_count(capsys):
     assert out == "18\n"
 
 
+def test_enumerate_count_counts_algebras_without_building_pairs(capsys, monkeypatch):
+    frames = [(a, n - a) for n in range(8) for a in range(n + 1)]
+    counts = {frame: len(enumerate_compatible(*frame)) for frame in frames}
+    assert counts[0, 0] == 1
+
+    def untouchable(a, b):
+        raise AssertionError("--count built the pairs")
+
+    def count(a, b):
+        return run_cli(capsys, "partitions", "enumerate", "--a", str(a), "--b", str(b), "--count")
+
+    monkeypatch.setattr("aql.cli.enumerate_compatible", untouchable)
+    for (a, b), want in counts.items():
+        assert count(a, b)[:2] == (0, f"{want}\n")
+    for a, b in ((-1, 2), (2, -1)):
+        assert count(a, b) == (2, "", "error: frame sides must be non-negative\n")
+
+
 def test_output_is_deterministic(capsys):
     argv = ("atlas", "--a", "2", "--b", "2", "--format", "tsv")
     _, first, _ = run_cli(capsys, *argv)
@@ -126,9 +145,6 @@ def test_exit_code_two_on_bad_input(capsys):
 
 
 def test_negative_values_attach_with_equals(capsys):
-    # argparse reads a separate "-1,-2" as an option, hence an error
-    code, out, _ = run_cli(capsys, "aq", "--blocks", "1,0;0,1", "--lambda", "-1,-2")
-    assert (code, out) == (2, "")
     code, out, _ = run_cli(capsys, "aq", "--blocks", "1,0;0,1", "--lambda=-1,-2")
     assert code == 0
     assert json.loads(out)["lambda"] == [-1, -2]
@@ -139,6 +155,21 @@ def test_negative_values_attach_with_equals(capsys):
     )
     assert code == 0
     assert check_schema(out, "lift_datum")["chi"] == {"alpha1": -1, "alpha2": 1}
+
+
+def test_negative_values_may_follow_as_their_own_token(capsys):
+    base = ("lift", "construct", "--blocks", "1,0;1,1", "--r0", "2")
+    for values in (("--lambda", "-1,-2", "--chi", "-1,1"), ("--lambda=-1,-2", "--chi=-1,1")):
+        code, out, _ = run_cli(capsys, *base, *values)
+        assert code == 0, values
+        doc = check_schema(out, "lift_datum")
+        assert doc["target"]["lambda"] == [-1, -2]
+        assert doc["chi"] == {"alpha1": -1, "alpha2": 1}
+    # only an integer list is attached: any other token still reads as an option
+    for bad in ("-1,-x", "-1,", "--1", "-1;-2"):
+        code, out, err = run_cli(capsys, "aq", "--blocks", "1,0;0,1", "--lambda", bad)
+        assert (code, out) == (2, ""), bad
+        assert "expected one argument" in err
 
 
 def test_unexpected_exception_exits_three(capsys, monkeypatch):

@@ -1,8 +1,11 @@
+import gc
+import tracemalloc
 from functools import lru_cache
 
 import pytest
 
 from aql.convergence import (
+    AtlasRow,
     ChainStep,
     ConvergenceCertificate,
     atlas,
@@ -10,7 +13,14 @@ from aql.convergence import (
     predecessor,
     validate_certificate,
 )
-from aql.parabolic import ThetaStableAlgebra, enumerate_packet, enumerate_standard
+from aql.parabolic import (
+    ThetaStableAlgebra,
+    cohomological_degree,
+    enumerate_packet,
+    enumerate_standard,
+    packet_size,
+    partitions_from_blocks,
+)
 from aql.thetalift import build_source
 
 
@@ -249,3 +259,43 @@ def test_atlas_tsv_shape():
     ]
     for row in rows:
         assert len(row.to_tsv().split("\t")) == len(header_cols)
+
+
+def oracle_atlas(a, b, lax):
+    """Slow oracle: each row rebuilt from the public invariants of its algebra."""
+    rows = []
+    for q in enumerate_standard(a, b):
+        pair = partitions_from_blocks(q)
+        ok, cert = is_convergent(q, lax)
+        chain = tuple(cert.signature_chain()) if cert else ()
+        R, R_plus, R_minus = cohomological_degree(q)
+        rows.append(
+            AtlasRow(pair.alpha.rows, pair.beta.rows, q, R, R_plus, R_minus, packet_size(q), ok, chain)
+        )
+    return rows
+
+
+@pytest.mark.parametrize("lax", [False, True], ids=["strict", "lax"])
+def test_atlas_matches_the_invariants_oracle(lax):
+    for n in range(1, 9):
+        for a in range(n + 1):
+            got, want = atlas(a, n - a, lax), oracle_atlas(a, n - a, lax)
+            assert got == want, (a, n - a)
+            assert [r.to_json() for r in got] == [r.to_json() for r in want], (a, n - a)
+            assert [r.to_tsv() for r in got] == [r.to_tsv() for r in want], (a, n - a)
+
+
+def test_atlas_rows_hold_little_memory():
+    """The 15,585 rows of atlas(6,5) held 7.75 MB under tracemalloc
+    (Python 3.11), against 15.4 MB when every row kept its own pair, block
+    and chain tuples.  The ceiling leaves a 16% margin over 7.75 MB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rows = atlas(6, 5)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 15_585
+    assert held < 9_000_000, held

@@ -73,6 +73,17 @@ def test_weight_signature_and_dominance():
     assert not Weight.of([0, 1], []).is_dominant
 
 
+def test_weights_add_only_within_one_signature():
+    w = Weight.of([1, 0], [0])
+    assert w + Weight.of([1, 1], [half(-1)]) == Weight.of([2, 1], [half(-1)])
+    # the same number of coordinates split otherwise, or one side shorter
+    for other in (Weight.of([1], [0, 0]), Weight.of([1, 0], []), Weight.of([1, 0, 0], [0])):
+        with pytest.raises(ValueError, match="^signature mismatch$"):
+            w + other
+        with pytest.raises(ValueError, match="^signature mismatch$"):
+            other + w
+
+
 def test_shift_examples():
     w = Weight.of([1, 0], [0])
     assert shift(w, 0) == w

@@ -277,6 +277,16 @@ def test_enumerated_algebras_are_not_retained():
     assert ref() is None
 
 
+def test_one_enumeration_shares_equal_blocks():
+    first = {}
+    for q in enumerate_standard(4, 3):
+        for block in q.blocks:
+            assert first.setdefault(block, block) is block
+    built = ThetaStableAlgebra([[1, 0], [0, 1]])
+    assert built.blocks == ((1, 0), (0, 1))
+    assert type(built.blocks) is tuple and all(type(block) is tuple for block in built.blocks)
+
+
 def test_algebra_identity_is_its_block_list():
     for q in all_standard(4):
         twin = ThetaStableAlgebra(list(q.blocks))
