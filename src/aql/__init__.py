@@ -5,7 +5,7 @@ classification of standard theta-stable parabolic subalgebras, the
 attached Arthur-parameter restrictions and infinitesimal characters,
 lowest K-types and bounded K-type cones, packets, the theta-lift source
 construction with its four exact verification checks, and convergence
-certificates obtained by backward chain search.
+certificates obtained by a backward walk with no choices.
 """
 
 from .halfint import CharMultiset, HalfInt, Weight, format_twice, half, multiset_of, shift, twice_of

@@ -29,8 +29,6 @@ class ParameterRestriction(Frozen):
     ones through `twice`.
     """
 
-    _fields = ("summands",)
-
     def __init__(self, summands: Iterable[Tuple[HalfIntLike, int]] = (), *, twice=()):
         items = [*((twice_of(k), n) for k, n in summands), *twice]
         for _, n in items:
@@ -63,8 +61,6 @@ class ChiPair(Frozen):
     character restricts to sign^n on the reals and the second to sign^n',
     so alpha1 = n (mod 2) and alpha2 = n' (mod 2).
     """
-
-    _fields = ("alpha1", "alpha2", "n", "n_prime")
 
     def __init__(self, alpha1: int, alpha2: int, n: int, n_prime: int):
         alpha1, alpha2, n, n_prime = map(exact_int, (alpha1, alpha2, n, n_prime))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .halfint import Frozen
+from .halfint import Frozen, exact_int
 from .parabolic import ThetaStableAlgebra, _degree_of_rows, _rows, enumerate_standard, packet_size
 from .thetalift import _source_algebra
 
@@ -28,8 +28,6 @@ def predecessor(q: ThetaStableAlgebra, r0: int) -> ThetaStableAlgebra:
 class ChainStep(Frozen):
     """One node of a certificate chain; r0 is the index used to step back
     from this node (None at the base)."""
-
-    _fields = ("signature", "blocks", "r0")
 
     def __init__(self, signature: Tuple[int, int], blocks: ThetaStableAlgebra, r0: Optional[int]):
         object.__setattr__(self, "signature", signature)
@@ -46,8 +44,6 @@ class ChainStep(Frozen):
 
 class ConvergenceCertificate(Frozen):
     """A replayable chain from a compact-Levi base up to the input."""
-
-    _fields = ("steps", "lax")
 
     def __init__(self, steps: Tuple[ChainStep, ...], lax: bool):
         object.__setattr__(self, "steps", steps)
@@ -136,9 +132,6 @@ def validate_certificate(
 class AtlasRow(Frozen):
     """One classified module of U(a,b) with its invariants."""
 
-    _fields = ("pair_alpha", "pair_beta", "blocks", "R", "R_plus", "R_minus", "packet_size",
-               "convergent", "chain")
-
     def __init__(
         self, pair_alpha: Tuple[int, ...], pair_beta: Tuple[int, ...],
         blocks: ThetaStableAlgebra, R: int, R_plus: int, R_minus: int, packet_size: int,
@@ -191,7 +184,7 @@ def atlas(a: int, b: int, lax: bool = False) -> List[AtlasRow]:
 
     The degenerate (0,0) frame yields an empty table.
     """
-    if a == 0 and b == 0:
+    if exact_int(a) == exact_int(b) == 0:
         return []
     rows = []
     shared = {}  # one tuple per distinct stripped row or chain, for every row

@@ -32,16 +32,21 @@ def format_twice(twice: int) -> str:
 
 
 class Frozen:
-    """Base of the immutable value classes.  `_fields` names the fields in
-    constructor order and `__init__` sets each once, one `object.__setattr__`
-    call per field (a shared loop slowed the lift and atlas paths).
-    Equality (same class only) and hash read `_compared` (all fields unless
-    narrowed), repr reads `_fields`; assignment and deletion raise
-    AttributeError."""
+    """Base of the immutable value classes.  The constructor declares the
+    fields: its positional parameters, in order, become `_fields`, and it
+    sets each once, one `object.__setattr__` call per field (a shared loop
+    slowed the lift and atlas paths).  Keyword-only parameters are not
+    fields.  A class whose parameters are not its fields sets `_fields`
+    itself; only `HalfInt` does.  Equality (same class only) and hash read
+    `_compared` (all fields unless narrowed), repr reads `_fields`;
+    assignment and deletion raise AttributeError."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
+        if "_fields" not in vars(cls):
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
         names = vars(cls).get("_compared", cls._fields)
         get = attrgetter(*names)
         cls._values = property(get if len(names) > 1 else lambda self: (get(self),))
@@ -149,8 +154,6 @@ class Weight(Frozen):
     held as a tuple of doubled ints.  Weights of one signature sort by
     their coordinates."""
 
-    _fields = ("x", "y")
-
     def __init__(self, x: Tuple[int, ...], y: Tuple[int, ...]):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -220,8 +223,6 @@ class CharMultiset(Frozen):
     they come as half-integers through `entries` or already doubled
     through `twice`.  Iteration yields them as `HalfInt`.
     """
-
-    _fields = ("entries",)
 
     def __init__(self, entries: Iterable[HalfIntLike] = (), *, twice: Iterable[int] = ()):
         items = sorted([*map(twice_of, entries), *twice], reverse=True)

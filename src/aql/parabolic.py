@@ -52,8 +52,6 @@ class ThetaStableAlgebra(Frozen):
     and `total` are set once here; equality, hash and repr use the blocks.
     """
 
-    _fields = ("blocks",)
-
     def __init__(self, blocks: Iterable[Sequence[int]] = ()):
         norm = []
         sizes = []
@@ -129,8 +127,6 @@ class ThetaStableAlgebra(Frozen):
 
 class LambdaCharacter(Frozen):
     """Differential of a unitary character of the Levi: one integer per block."""
-
-    _fields = ("values",)
 
     def __init__(self, values: Iterable[int] = ()):
         vals = tuple(exact_int(v) for v in values)
@@ -343,7 +339,7 @@ def k_types_bounded(q: ThetaStableAlgebra, lam=None, bound: int = 0) -> List[Wei
     more than MAX_CONE points (counted as C(bound + |roots|, |roots|)), or
     whose points and roots (none are listed at bound 0) hold more than
     MAX_CONE * MAX_FRAME coordinates, raises ValueError."""
-    if bound < 0:
+    if exact_int(bound) < 0:
         raise ValueError("bound must be non-negative")
     n_roots = cohomological_degree(q)[0] if bound else 0
     k = min(bound, n_roots)
@@ -450,7 +446,7 @@ def enumerate_standard(a: int, b: int) -> List[ThetaStableAlgebra]:
     ordered by (beta, alpha): the nonzero blocks summing to (a, b) with no
     two adjacent pure blocks of the same kind.  Frames with a+b above
     MAX_FRAME raise FrameError."""
-    if a < 0 or b < 0:
+    if exact_int(a) < 0 or exact_int(b) < 0:
         raise FrameError("frame sides must be non-negative")
     if a + b > MAX_FRAME:
         raise FrameError(f"frame {a}x{b} is too large: a+b must be at most {MAX_FRAME}")

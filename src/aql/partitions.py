@@ -26,8 +26,6 @@ class IncompatiblePairError(ValueError):
 class Partition(Frozen):
     """A weakly decreasing tuple of non-negative parts, trailing zeros stripped."""
 
-    _fields = ("rows",)
-
     def __init__(self, rows: Iterable[int] = ()):
         parts = [exact_int(p) for p in rows]
         if any(p < 0 for p in parts):
@@ -80,8 +78,6 @@ def complement(p: Partition, a: int, b: int) -> Partition:
 
 class FramedPair(Frozen):
     """A nested pair alpha <= beta of diagrams inside the a x b frame."""
-
-    _fields = ("a", "b", "alpha", "beta")
 
     def __init__(self, a: int, b: int, alpha: Partition, beta: Partition):
         if exact_int(a) < 0 or exact_int(b) < 0:

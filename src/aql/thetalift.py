@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .halfint import CharMultiset, Frozen, HalfInt, Weight, format_twice, half, shift
+from .halfint import CharMultiset, Frozen, HalfInt, Weight, exact_int, format_twice, half, shift
 from .arthur import (
     ChiPair,
     ParityError,
@@ -55,9 +55,6 @@ DEFAULT_BOUND = 3
 
 class LiftDatum(Frozen):
     """Everything defining one instance of the lift construction."""
-
-    _fields = ("target_q", "target_lambda", "r0", "chi", "source_q", "source_lambda", "det_shift",
-               "mslk")
 
     def __init__(
         self, target_q: ThetaStableAlgebra, target_lambda: LambdaCharacter, r0: int,
@@ -105,9 +102,7 @@ class LiftReport(Frozen):
     """Verdicts of the four checks, with the computed intermediates.
     Equality and hash leave out `details`."""
 
-    _fields = ("datum", "parameter_ok", "infchar_ok", "ktype_ok", "mindegree_ok", "bound",
-               "details")
-    _compared = _fields[:-1]
+    _compared = ("datum", "parameter_ok", "infchar_ok", "ktype_ok", "mindegree_ok", "bound")
 
     def __init__(
         self, datum: LiftDatum, parameter_ok: bool, infchar_ok: bool, ktype_ok: bool,
@@ -165,7 +160,7 @@ def _resolve_chi(chi, n: int, n_prime: int) -> ChiPair:
 
 def _source_algebra(q: ThetaStableAlgebra, r0: int) -> ThetaStableAlgebra:
     """Block r0 removed and the later blocks reflected, left unmerged."""
-    if not 1 <= r0 <= q.r:
+    if not 1 <= exact_int(r0) <= q.r:
         raise ValueError(f"r0={r0} out of range 1..{q.r}")
     return ThetaStableAlgebra(list(q.blocks[: r0 - 1]) + [(b, a) for a, b in q.blocks[r0:]])
 

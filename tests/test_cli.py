@@ -277,6 +277,22 @@ def test_atlas_out_file(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_atlas_out_unwritable_path_exits_two(tmp_path, capsys):
+    """A missing directory or a directory as --out is bad input: one error
+    line naming the path, nothing on stdout, no traceback, exit 2."""
+    for target in (tmp_path / "missing" / "table.tsv", tmp_path):
+        argv = ("atlas", "--a", "1", "--b", "1", "--out", str(target))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        code, out, err = run_cli(capsys, "--meta", *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err.splitlines()[-1])["exit"] == 2
+    assert not (tmp_path / "missing").exists()
+
+
 def test_meta_goes_to_stderr_only(capsys, monkeypatch):
     """--meta leaves stdout and the exit code alone and writes one JSON
     line after the command has run, whatever its exit code, argparse

@@ -1,9 +1,10 @@
 import pytest
 
 from aql.arthur import ChiPair, ParameterRestriction, ParityError
+from aql.convergence import atlas, predecessor
 from aql.halfint import CharMultiset, Weight, half
-from aql.parabolic import LambdaCharacter, ThetaStableAlgebra, lowest_k_type
-from aql.partitions import FramedPair, Partition
+from aql.parabolic import LambdaCharacter, ThetaStableAlgebra, enumerate_standard, lowest_k_type
+from aql.partitions import FramedPair, Partition, enumerate_compatible
 from aql.thetalift import (
     HoweBoundError,
     LiftDatum,
@@ -106,10 +107,22 @@ def test_build_source_rejects_bad_inputs():
         lambda: build_source(alg((1, 0), (1, 1)), (1, 0), 2, (1.0, 1)),
         lambda: Partition([True, 1]),
         lambda: FramedPair(2.0, 1, Partition(), Partition()),
+        # bools are ints to Python: an r0 or bound of True would reach the
+        # report's JSON as true, where schema.json wants an integer
+        lambda: full_report(alg((1, 0), (1, 1)), (1, 0), True, (1, 0)),
+        lambda: predecessor(alg((1, 0), (1, 1)), True),
+        lambda: full_report(alg((1, 0), (1, 1)), (1, 0), 2, (1, 1), bound=True),
+        lambda: verify_min_degree(build_source(alg((1, 0), (1, 1)), (1, 0), 2, (1, 1)), True),
+        lambda: atlas(True, 1),
+        lambda: atlas(False, False),
+        lambda: enumerate_standard(1, True),
+        lambda: enumerate_compatible(1, False),
     ],
     ids=[
         "blocks", "bool-block", "lambda", "chi-pair", "summand", "chi-tuple",
-        "bool-part", "float-side",
+        "bool-part", "float-side", "bool-r0", "bool-predecessor-r0", "bool-bound",
+        "bool-min-degree-bound", "bool-atlas-side", "bool-atlas-empty", "bool-standard-side",
+        "bool-compatible-side",
     ],
 )
 def test_non_int_inputs_rejected(build):

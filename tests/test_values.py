@@ -2,6 +2,7 @@
 hashing, repr, immutability, keyword construction, pickling and copying."""
 
 import copy
+import inspect
 import os
 import pickle
 import random
@@ -13,7 +14,7 @@ import pytest
 
 from aql.arthur import ChiPair, ParameterRestriction
 from aql.convergence import AtlasRow, ChainStep, ConvergenceCertificate
-from aql.halfint import CharMultiset, HalfInt, Weight
+from aql.halfint import CharMultiset, Frozen, HalfInt, Weight
 from aql.parabolic import LambdaCharacter, ThetaStableAlgebra
 from aql.partitions import FramedPair, Partition
 from aql.thetalift import LiftDatum, LiftReport, build_source, full_report
@@ -147,6 +148,32 @@ def test_pickle_and_deepcopy_round_trip(cls):
         assert repr(clone) == repr(value)
         with pytest.raises(AttributeError):
             setattr(clone, CASES[cls][1][0], None)
+
+
+@classes
+def test_fields_are_the_positional_constructor_parameters(cls):
+    params = [
+        p.name for p in inspect.signature(cls.__init__).parameters.values()
+        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+    ][1:]
+    assert cls._fields == CASES[cls][1]
+    if cls is HalfInt:  # its parameter is `value`, its field `twice`
+        assert cls._fields == ("twice",) and params == ["value"]
+    else:
+        assert list(cls._fields) == params
+
+
+def test_a_new_subclass_takes_its_fields_from_its_constructor():
+    class Span(Frozen):
+        def __init__(self, lo, hi=0, *, width=None):
+            top = hi if width is None else lo + width
+            object.__setattr__(self, "lo", lo)
+            object.__setattr__(self, "hi", top)
+
+    assert Span._fields == ("lo", "hi")
+    assert repr(Span(1, 3)) == "Span(lo=1, hi=3)"
+    assert Span(1, width=2) == Span(1, 3) and hash(Span(1, width=2)) == hash(Span(1, 3))
+    assert Span(1, 3) != Span(1, 4) and Span(1, 3) != (1, 3)
 
 
 def test_algebra_copies_keep_their_sizes():
