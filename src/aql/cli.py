@@ -157,6 +157,7 @@ def cmd_convergence_check(args) -> int:
 
 def cmd_atlas(args) -> int:
     rows = atlas(args.a, args.b, lax=args.lax)
+    args.counts["rows"] = len(rows)
     if args.format == "tsv":
         text = ATLAS_TSV_HEADER + "\n" + "".join(r.to_tsv() + "\n" for r in rows)
     else:
@@ -181,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--meta",
         action="store_true",
-        help="after the command, write run metadata (exit code, elapsed time)"
-        " as one JSON line on stderr",
+        help="after the command, write run metadata (exit code, elapsed time,"
+        " atlas rows) as one JSON line on stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -261,12 +262,14 @@ def _attach_values(argv: List[str]) -> List[str]:
 def run(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     start = time.perf_counter()
+    counts = {}  # what a command counted, for --meta
     try:
         args = build_parser().parse_args(_attach_values(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         code = exc.code if isinstance(exc.code, int) else 2
     else:
+        args.counts = counts
         try:
             code = args.func(args)
         except ValueError as exc:
@@ -277,7 +280,7 @@ def run(argv: Optional[List[str]] = None) -> int:
             code = 3
     if _wants_meta(argv):
         meta = {"tool": "aql", "version": __version__, "argv": argv,
-                "exit": code, "elapsed_s": round(time.perf_counter() - start, 6)}
+                "exit": code, "elapsed_s": round(time.perf_counter() - start, 6), **counts}
         sys.stderr.write(json.dumps(meta) + "\n")
     return code
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .halfint import Frozen, exact_int
-from .parabolic import ThetaStableAlgebra, _degree_of_rows, _rows, enumerate_standard, packet_size
+from .parabolic import ThetaStableAlgebra, _degree_of_rows, _standard, packet_size
 from .thetalift import _source_algebra
 
 
@@ -80,7 +80,11 @@ def is_convergent(
     more than half the slots, the only one that passes the growth
     condition, until it reaches a compact Levi.  In lax mode the stable
     range is waived on the final step and on the step out of the base."""
-    q = q.canonicalize()
+    return _convergent(q.canonicalize(), lax)
+
+
+def _convergent(q: ThetaStableAlgebra, lax: bool) -> Tuple[bool, Optional[ConvergenceCertificate]]:
+    """`is_convergent` of an algebra that is already canonical."""
     steps = []
     while not q.has_compact_levi:
         n = q.total
@@ -132,6 +136,9 @@ def validate_certificate(
 class AtlasRow(Frozen):
     """One classified module of U(a,b) with its invariants."""
 
+    __slots__ = ("pair_alpha", "pair_beta", "blocks", "R", "R_plus", "R_minus", "packet_size",
+                 "convergent", "chain")
+
     def __init__(
         self, pair_alpha: Tuple[int, ...], pair_beta: Tuple[int, ...],
         blocks: ThetaStableAlgebra, R: int, R_plus: int, R_minus: int, packet_size: int,
@@ -146,6 +153,9 @@ class AtlasRow(Frozen):
         object.__setattr__(self, "packet_size", packet_size)
         object.__setattr__(self, "convergent", convergent)
         object.__setattr__(self, "chain", chain)
+
+    def __reduce__(self):  # slotted and immutable: rebuild through __init__
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def to_json(self) -> dict:
         return {
@@ -163,8 +173,8 @@ class AtlasRow(Frozen):
     def to_tsv(self) -> str:
         return "\t".join(
             (
-                ",".join(str(p) for p in self.pair_alpha),
-                ",".join(str(p) for p in self.pair_beta),
+                ",".join(map(str, self.pair_alpha)),
+                ",".join(map(str, self.pair_beta)),
                 self.blocks.unparse(),
                 str(self.R),
                 str(self.R_plus),
@@ -189,8 +199,7 @@ def atlas(a: int, b: int, lax: bool = False) -> List[AtlasRow]:
     rows = []
     shared = {}  # one tuple per distinct stripped row or chain, for every row
     packets = {}  # the packet size depends only on the multiset of block sizes
-    for q in enumerate_standard(a, b):
-        alpha, beta = _rows(q)
+    for q, alpha, beta in _standard(a, b):
         # rows weakly decrease, so their nonzero parts are the stripped partition
         alpha_t = tuple(filter(None, alpha))
         beta_t = tuple(filter(None, beta))
@@ -198,7 +207,7 @@ def atlas(a: int, b: int, lax: bool = False) -> List[AtlasRow]:
         sizes = tuple(sorted(q.levi_sizes))
         if sizes not in packets:
             packets[sizes] = packet_size(q)
-        ok, cert = is_convergent(q, lax)
+        ok, cert = _convergent(q, lax)
         chain = tuple(cert.signature_chain()) if cert else ()
         rows.append(
             AtlasRow(

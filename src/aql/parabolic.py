@@ -10,7 +10,7 @@ sizes, so the actual diagonal values are never stored.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement, groupby
 from math import comb
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -52,6 +52,8 @@ class ThetaStableAlgebra(Frozen):
     and `total` are set once here; equality, hash and repr use the blocks.
     """
 
+    __slots__ = ("blocks", "signature", "levi_sizes", "total", "__weakref__")
+
     def __init__(self, blocks: Iterable[Sequence[int]] = ()):
         norm = []
         sizes = []
@@ -71,6 +73,9 @@ class ThetaStableAlgebra(Frozen):
         object.__setattr__(self, "signature", (a, b))
         object.__setattr__(self, "levi_sizes", tuple(sizes))
         object.__setattr__(self, "total", a + b)
+
+    def __reduce__(self):  # slotted and immutable: rebuild through __init__
+        return type(self), (self.blocks,)
 
     @property
     def r(self) -> int:
@@ -441,31 +446,54 @@ MAX_FRAME = 13
 MAX_SLOTS = 1_000
 
 
+def _standard(a: int, b: int):
+    """The canonical standard algebras of U(a,b) with their unstripped rows,
+    as (q, alpha, beta) in (beta, alpha) order, built without a search.
+
+    beta runs over the weakly decreasing a-tuples over [0, b].  Of two
+    blocks with one beta the first is pure x, so a run of L rows with
+    beta = v, followed by the run with beta = w (0 after the last), holds
+    k pure x-rows (alpha = v), then L - k rows with alpha = u in [w, v),
+    then u - w pure y-slots; k = L stands for u = v.  The run's alpha
+    grows with (k, u).  A lead of b - beta_1 pure y-slots comes first.
+    Negative sides or a+b above MAX_FRAME raise FrameError at the call."""
+    if exact_int(a) < 0 or exact_int(b) < 0:
+        raise FrameError("frame sides must be non-negative")
+    if a + b > MAX_FRAME:
+        raise FrameError(f"frame {a}x{b} is too large: a+b must be at most {MAX_FRAME}")
+    # each (ai, bi) is made once, so equal blocks of one enumeration share it
+    pairs = [[(ai, bi) for bi in range(b + 1)] for ai in range(a + 1)]
+
+    def fills(v: int, length: int, w: int):
+        """(alpha segment, nonzero blocks) of each way to fill one run, in order."""
+        ways = [(k, u) for k in range(length) for u in range(w, v)] + [(length, v)]
+        return [
+            (
+                (v,) * k + (u,) * (length - k),
+                tuple(filter(any, (pairs[k][0], pairs[length - k][v - u], pairs[0][u - w]))),
+            )
+            for k, u in ways
+        ]
+
+    def generate():
+        # combinations over b, ..., 0 come in decreasing lexicographic order
+        for beta in reversed(list(combinations_with_replacement(range(b, -1, -1), a))):
+            runs = [(v, len(list(group))) for v, group in groupby(beta)]
+            top = beta[0] if beta else 0
+            # (alpha, blocks) prefixes, extended run by run in order
+            prefixes = [((), (pairs[0][b - top],) if top < b else ())]
+            for (v, length), w in zip(runs, [v for v, _ in runs[1:]] + [0]):
+                choices = fills(v, length, w)
+                prefixes = [(al + seg, bl + blk) for al, bl in prefixes for seg, blk in choices]
+            for alpha, blocks in prefixes:
+                yield ThetaStableAlgebra(blocks), alpha, beta
+
+    return generate()
+
+
 def enumerate_standard(a: int, b: int) -> List[ThetaStableAlgebra]:
     """All canonical standard algebras of U(a,b), one per compatible pair,
     ordered by (beta, alpha): the nonzero blocks summing to (a, b) with no
     two adjacent pure blocks of the same kind.  Frames with a+b above
     MAX_FRAME raise FrameError."""
-    if exact_int(a) < 0 or exact_int(b) < 0:
-        raise FrameError("frame sides must be non-negative")
-    if a + b > MAX_FRAME:
-        raise FrameError(f"frame {a}x{b} is too large: a+b must be at most {MAX_FRAME}")
-    # each (ai, bi) is made once, so equal blocks of the found lists share it
-    pairs = [[(ai, bi) for bi in range(b + 1)] for ai in range(a + 1)]
-    found, stack = [], [((), a, b)]
-    while stack:
-        blocks, a_left, b_left = stack.pop()
-        if a_left == b_left == 0:
-            found.append(ThetaStableAlgebra(blocks))
-        pa, pb = blocks[-1] if blocks else (1, 1)  # (1, 1): nothing to merge with
-        for ai in range(a_left + 1):
-            for bi in range(b_left + 1):
-                if (ai, bi) == (0, 0) or (ai == 0 and pa == 0) or (bi == 0 and pb == 0):
-                    continue
-                stack.append((blocks + (pairs[ai][bi],), a_left - ai, b_left - bi))
-
-    def key(q: ThetaStableAlgebra):
-        alpha, beta = _rows(q)
-        return beta, alpha
-
-    return sorted(found, key=key)
+    return [q for q, _, _ in _standard(a, b)]

@@ -134,7 +134,7 @@ def is_compatible(pair: FramedPair) -> bool:
 
 def enumerate_compatible(a: int, b: int) -> List[FramedPair]:
     """All compatible pairs in the a x b frame, ordered by (beta, alpha):
-    the pairs of the canonical block lists."""
-    from .parabolic import enumerate_standard, partitions_from_blocks
+    the rows of the canonical block lists."""
+    from .parabolic import _standard
 
-    return [partitions_from_blocks(q) for q in enumerate_standard(a, b)]
+    return [FramedPair(a, b, Partition(al), Partition(be)) for _, al, be in _standard(a, b)]

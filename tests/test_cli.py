@@ -322,6 +322,25 @@ def test_meta_goes_to_stderr_only(capsys, monkeypatch):
         assert meta["elapsed_s"] >= 0
 
 
+def test_meta_counts_the_atlas_rows(capsys, tmp_path):
+    """An atlas run's meta line counts its rows; stdout, the --out file and
+    the exit code are those of the run without --meta."""
+    for fmt in ("tsv", "json"):
+        argv = ("atlas", "--a", "3", "--b", "2", "--format", fmt)
+        code, plain, _ = run_cli(capsys, *argv)
+        code_meta, out, err = run_cli(capsys, "--meta", *argv)
+        assert code == code_meta == 0 and out == plain
+        meta = json.loads(err.splitlines()[-1])
+        assert meta["rows"] == len(enumerate_compatible(3, 2)) == 41
+    target = tmp_path / "table.tsv"
+    code, out, err = run_cli(capsys, "--meta", "atlas", "--a", "2", "--b", "2", "--format", "tsv",
+                             "--out", str(target))
+    assert (code, out) == (0, "") and json.loads(err)["rows"] == 18
+    assert len(target.read_text().splitlines()) == 1 + 18
+    code, _, err = run_cli(capsys, "--meta", "aq", "--blocks", "1,1")
+    assert code == 0 and "rows" not in json.loads(err)
+
+
 BIG_CONE = ("lift", "verify", "--blocks", "3,0;0,3;3,0;0,3;1,1", "--r0", "5")
 
 

@@ -286,9 +286,11 @@ def test_atlas_matches_the_invariants_oracle(lax):
 
 
 def test_atlas_rows_hold_little_memory():
-    """The 15,585 rows of atlas(6,5) held 7.75 MB under tracemalloc
-    (Python 3.11), against 15.4 MB when every row kept its own pair, block
-    and chain tuples.  The ceiling leaves a 16% margin over 7.75 MB."""
+    """The 15,585 rows of atlas(6,5) hold 6.50 MB under tracemalloc
+    (Python 3.11): slotted rows and algebras, with the pair, block and
+    chain tuples shared.  Rows with instance dicts held 7.75 MB, and
+    15.4 MB when every row kept its own tuples.  The ceiling leaves a 16%
+    margin over 6.50 MB."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -298,4 +300,4 @@ def test_atlas_rows_hold_little_memory():
     finally:
         tracemalloc.stop()
     assert len(rows) == 15_585
-    assert held < 9_000_000, held
+    assert held < 7_550_000, held

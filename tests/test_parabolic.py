@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from aql.halfint import CharMultiset, Weight, half, multiset_of
+from aql.halfint import CharMultiset, Weight, exact_int, half, multiset_of
 from aql.parabolic import (
     MAX_CONE,
     MAX_FRAME,
@@ -28,6 +28,8 @@ from aql.parabolic import (
     partitions_from_blocks,
     root_of,
     two_rho_up,
+    _rows,
+    _standard,
 )
 from aql.partitions import (
     EMPTY,
@@ -37,6 +39,7 @@ from aql.partitions import (
     conjugate,
     enumerate_compatible,
 )
+from aql.convergence import atlas
 from aql.thetalift import DEFAULT_BOUND
 
 
@@ -156,6 +159,55 @@ def test_enumerate_standard_refuses_large_frames():
         enumerate_standard(7, 7)
     with pytest.raises(FrameError):
         enumerate_compatible(0, 14)
+
+
+def test_the_generator_checks_the_frame_when_called():
+    """The frame is refused at the call, before anything is iterated."""
+    for a, b in ((-1, 2), (2, -1), (7, 7), (0, 14)):
+        with pytest.raises(FrameError):
+            _standard(a, b)
+        with pytest.raises(FrameError):
+            enumerate_standard(a, b)
+    with pytest.raises(FrameError):
+        atlas(7, 7)
+
+
+def oracle_standard(a, b):
+    """Slow oracle: every canonical block list by depth-first search, then
+    sorted by the (beta, alpha) of its rows."""
+    if exact_int(a) < 0 or exact_int(b) < 0:
+        raise FrameError("frame sides must be non-negative")
+    if a + b > MAX_FRAME:
+        raise FrameError(f"frame {a}x{b} is too large: a+b must be at most {MAX_FRAME}")
+    # each (ai, bi) is made once, so equal blocks of the found lists share it
+    pairs = [[(ai, bi) for bi in range(b + 1)] for ai in range(a + 1)]
+    found, stack = [], [((), a, b)]
+    while stack:
+        blocks, a_left, b_left = stack.pop()
+        if a_left == b_left == 0:
+            found.append(ThetaStableAlgebra(blocks))
+        pa, pb = blocks[-1] if blocks else (1, 1)  # (1, 1): nothing to merge with
+        for ai in range(a_left + 1):
+            for bi in range(b_left + 1):
+                if (ai, bi) == (0, 0) or (ai == 0 and pa == 0) or (bi == 0 and pb == 0):
+                    continue
+                stack.append((blocks + (pairs[ai][bi],), a_left - ai, b_left - bi))
+
+    def key(q: ThetaStableAlgebra):
+        alpha, beta = _rows(q)
+        return beta, alpha
+
+    return sorted(found, key=key)
+
+
+def test_generated_algebras_match_the_search_and_sort_oracle():
+    """Same algebras in the same order, each with the rows of `_rows`."""
+    for n in range(11):
+        for a in range(n + 1):
+            got = list(_standard(a, n - a))
+            assert [q for q, _, _ in got] == oracle_standard(a, n - a), (a, n - a)
+            for q, alpha, beta in got:
+                assert (list(alpha), list(beta)) == _rows(q), q
 
 
 def test_delta_u_p_counts():

@@ -2,12 +2,14 @@
 hashing, repr, immutability, keyword construction, pickling and copying."""
 
 import copy
+import gc
 import inspect
 import os
 import pickle
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -180,6 +182,27 @@ def test_algebra_copies_keep_their_sizes():
     q = ThetaStableAlgebra(((2, 1), (0, 3), (1, 1)))
     for clone in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q)):
         assert (clone.signature, clone.levi_sizes, clone.total) == ((3, 5), (3, 3, 2), 8)
+
+
+@pytest.mark.parametrize("cls", [ThetaStableAlgebra, AtlasRow], ids=lambda cls: cls.__name__)
+def test_slotted_classes_hold_no_instance_dict(cls):
+    """An atlas keeps one algebra and one row per module, so both classes
+    are slotted, and they still pickle under every protocol."""
+    value = build(cls)
+    assert not hasattr(value, "__dict__")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(value, protocol))
+        assert type(clone) is cls and clone == value
+        assert field_values(clone) == field_values(value)
+
+
+def test_a_slotted_algebra_takes_weak_references():
+    q = build(ThetaStableAlgebra)
+    ref = weakref.ref(q)
+    assert ref() is q
+    del q
+    gc.collect()
+    assert ref() is None
 
 
 def test_weights_sort_by_their_coordinates():
