@@ -3,7 +3,7 @@
 Subcommands mirror the library surface: partition-pair enumeration,
 invariants of one module, packet listing, lift construction and
 verification, convergence checks and the atlas table.  Output is
-deterministic: the same argv always produces byte-identical stdout.
+deterministic: the same argv and the same `AQL_BOUND` give byte-identical stdout.
 Exit codes: 0 success / verified, 1 a verification returned false,
 2 invalid input, 3 internal error (an unexpected exception).
 """

@@ -88,7 +88,7 @@ def _convergent(q: ThetaStableAlgebra, lax: bool) -> Tuple[bool, Optional[Conver
     steps = []
     while not q.has_compact_levi:
         n = q.total
-        r0 = next((i for i, n_i in enumerate(q.levi_sizes, 1) if 2 * n_i > n), None)
+        r0 = next((i for i, (ai, bi) in enumerate(q.blocks, 1) if 2 * (ai + bi) > n), None)
         if r0 is None:
             return False, None
         pred = predecessor(q, r0)

@@ -48,31 +48,42 @@ class ThetaStableAlgebra(Frozen):
     partition pair) produce the canonical form, in which adjacent blocks
     of the same pure type are merged.  Raw lists are also accepted: packet
     members and lift sources must keep split pure blocks so that per-block
-    characters stay aligned.  `signature`, `levi_sizes` (n_i = a_i + b_i)
-    and `total` are set once here; equality, hash and repr use the blocks.
+    characters stay aligned.  `blocks` and `signature` are stored and
+    `levi_sizes` (n_i = a_i + b_i) and `total` computed; equality, hash
+    and repr use the blocks.  The constructor (behind `parse`, `from_json`
+    and unpickling) checks every block; `_trusted` checks none.
     """
 
-    __slots__ = ("blocks", "signature", "levi_sizes", "total", "__weakref__")
+    __slots__ = ("blocks", "signature", "__weakref__")
 
     def __init__(self, blocks: Iterable[Sequence[int]] = ()):
         norm = []
-        sizes = []
-        a = b = 0
         for block in blocks:
             ai, bi = block
-            # exact_int inlined: packets build many block lists
             if type(ai) is not int or type(bi) is not int:
                 raise TypeError(f"block sizes must be ints, got ({ai!r},{bi!r})")
             if ai < 0 or bi < 0 or (ai == 0 and bi == 0):
                 raise ValueError(f"invalid block ({ai},{bi})")
             norm.append(block if type(block) is tuple else (ai, bi))  # shared, not copied
-            sizes.append(ai + bi)
-            a += ai
-            b += bi
-        object.__setattr__(self, "blocks", tuple(norm))
-        object.__setattr__(self, "signature", (a, b))
-        object.__setattr__(self, "levi_sizes", tuple(sizes))
-        object.__setattr__(self, "total", a + b)
+        self._set(tuple(norm), (sum(ai for ai, _ in norm), sum(bi for _, bi in norm)))
+
+    @classmethod
+    def _trusted(cls, blocks: Tuple[Tuple[int, int], ...], signature: Tuple[int, int]):
+        """The algebra of valid blocks with their (a, b) sums, unchecked."""
+        return object.__new__(cls)._set(blocks, signature)
+
+    def _set(self, blocks, signature) -> "ThetaStableAlgebra":
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "signature", signature)
+        return self
+
+    @property
+    def levi_sizes(self) -> Tuple[int, ...]:
+        return tuple([ai + bi for ai, bi in self.blocks])
+
+    @property
+    def total(self) -> int:
+        return sum(self.signature)
 
     def __reduce__(self):  # slotted and immutable: rebuild through __init__
         return type(self), (self.blocks,)
@@ -93,7 +104,7 @@ class ThetaStableAlgebra(Frozen):
     def canonicalize(self) -> "ThetaStableAlgebra":
         """The merged block list; self when nothing merges."""
         merged = _merge_pure(self.blocks)
-        return self if merged == self.blocks else ThetaStableAlgebra(merged)
+        return self if merged == self.blocks else self._trusted(merged, self.signature)
 
     @classmethod
     def parse(cls, text: str) -> "ThetaStableAlgebra":
@@ -206,8 +217,7 @@ def algebra_from_pair(pair: FramedPair) -> ThetaStableAlgebra:
     """
     a, b = pair.a, pair.b
     if a == 0:
-        q = ThetaStableAlgebra(((0, b),) if b > 0 else ())
-        return q
+        return ThetaStableAlgebra(((0, b),) if b > 0 else ())
     groups: List[Tuple[int, int, int]] = []  # (alpha*, beta*, row count)
     for al, be in pair.row_pairs():
         if groups and groups[-1][0] == al and groups[-1][1] == be:
@@ -293,8 +303,8 @@ def two_rho_up(q: ThetaStableAlgebra) -> Weight:
 
 def m_coeffs(q: ThetaStableAlgebra) -> Tuple[int, ...]:
     """m_i = -(n_1+...+n_{i-1}) + (n_{i+1}+...+n_r) for each block."""
-    before = accumulate(q.levi_sizes, initial=0)
-    return tuple(q.total - n_i - 2 * p for n_i, p in zip(q.levi_sizes, before))
+    sizes, n = q.levi_sizes, q.total
+    return tuple(n - n_i - 2 * p for n_i, p in zip(sizes, accumulate(sizes, initial=0)))
 
 
 def centred_string(center: int, n: int) -> range:
@@ -398,10 +408,10 @@ def enumerate_packet(q: ThetaStableAlgebra, lam=None):
     lam = _as_lambda(q, lam)
     if packet_size(q) > MAX_PACKET:
         raise ValueError(f"packet has more than {MAX_PACKET} members")
-    sizes = q.levi_sizes
+    sizes, sig = q.levi_sizes, q.signature
     tail = q.total
     # (x-sizes chosen so far, x-slots left); every prefix can be completed
-    prefixes = [((), q.signature[0])]
+    prefixes = [((), sig[0])]
     for n in sizes:
         tail -= n
         prefixes = [
@@ -410,7 +420,7 @@ def enumerate_packet(q: ThetaStableAlgebra, lam=None):
             for ai in range(max(0, left - tail), min(n, left) + 1)
         ]
     return [
-        (ThetaStableAlgebra((ai, n - ai) for ai, n in zip(chosen, sizes)), lam)
+        (ThetaStableAlgebra._trusted(tuple((ai, n - ai) for ai, n in zip(chosen, sizes)), sig), lam)
         for chosen, _ in prefixes
     ]
 
@@ -461,7 +471,7 @@ def _standard(a: int, b: int):
         raise FrameError("frame sides must be non-negative")
     if a + b > MAX_FRAME:
         raise FrameError(f"frame {a}x{b} is too large: a+b must be at most {MAX_FRAME}")
-    # each (ai, bi) is made once, so equal blocks of one enumeration share it
+    # each (ai, bi) is made once, so equal blocks and signatures of one enumeration share it
     pairs = [[(ai, bi) for bi in range(b + 1)] for ai in range(a + 1)]
 
     def fills(v: int, length: int, w: int):
@@ -486,7 +496,7 @@ def _standard(a: int, b: int):
                 choices = fills(v, length, w)
                 prefixes = [(al + seg, bl + blk) for al, bl in prefixes for seg, blk in choices]
             for alpha, blocks in prefixes:
-                yield ThetaStableAlgebra(blocks), alpha, beta
+                yield ThetaStableAlgebra._trusted(blocks, pairs[a][b]), alpha, beta
 
     return generate()
 

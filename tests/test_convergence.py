@@ -286,11 +286,13 @@ def test_atlas_matches_the_invariants_oracle(lax):
 
 
 def test_atlas_rows_hold_little_memory():
-    """The 15,585 rows of atlas(6,5) hold 6.50 MB under tracemalloc
-    (Python 3.11): slotted rows and algebras, with the pair, block and
-    chain tuples shared.  Rows with instance dicts held 7.75 MB, and
+    """The 15,585 rows of atlas(6,5) hold 4.03 MB under tracemalloc
+    (Python 3.11): slotted rows and algebras that store their blocks and
+    one signature shared by the frame, with the pair, block and chain
+    tuples shared.  Algebras that also stored their own signature, Levi
+    sizes and total held 6.50 MB, rows with instance dicts 7.75 MB, and
     15.4 MB when every row kept its own tuples.  The ceiling leaves a 16%
-    margin over 6.50 MB."""
+    margin over 4.03 MB."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -300,4 +302,4 @@ def test_atlas_rows_hold_little_memory():
     finally:
         tracemalloc.stop()
     assert len(rows) == 15_585
-    assert held < 7_550_000, held
+    assert held < 4_680_000, held

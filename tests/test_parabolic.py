@@ -1,4 +1,7 @@
+import copy
 import gc
+import pickle
+import time
 import weakref
 from itertools import combinations_with_replacement
 from math import comb
@@ -39,7 +42,7 @@ from aql.partitions import (
     conjugate,
     enumerate_compatible,
 )
-from aql.convergence import atlas
+from aql.convergence import atlas, predecessor
 from aql.thetalift import DEFAULT_BOUND
 
 
@@ -63,6 +66,28 @@ def test_block_validation():
     with pytest.raises(ValueError):
         ThetaStableAlgebra([(1, -1)])
     assert ThetaStableAlgebra(()).signature == (0, 0)
+
+
+BAD_BLOCKS = [(True, 1), (1, False), (1.0, 1), (1, 0.5), (-1, 2), (2, -1), (0, 0)]
+
+
+@pytest.mark.parametrize("block", BAD_BLOCKS, ids=repr)
+def test_every_public_entry_checks_the_blocks(block):
+    """The constructor, `from_json`, unpickling and copying refuse a bad
+    block anywhere in the list; `parse` reads none of them as a block."""
+    blocks = [(1, 1), block]
+    error = TypeError if any(type(v) is not int for v in block) else ValueError
+    with pytest.raises(error):
+        ThetaStableAlgebra(blocks)
+    with pytest.raises(error):
+        ThetaStableAlgebra.from_json({"blocks": [list(b) for b in blocks]})
+    unchecked = ThetaStableAlgebra._trusted(tuple(blocks), (0, 0))
+    with pytest.raises(error):
+        pickle.loads(pickle.dumps(unchecked))
+    with pytest.raises(error):
+        copy.deepcopy(unchecked)
+    with pytest.raises(ValueError):
+        ThetaStableAlgebra.parse(f"1,1;{block[0]},{block[1]}")
 
 
 def test_canonical_form():
@@ -353,6 +378,56 @@ def test_algebra_identity_is_its_block_list():
         with pytest.raises(AttributeError):
             setattr(q, name, None)
         assert getattr(q, name) == before
+
+
+def assert_equals_checked_twin(q):
+    """Equality reads the blocks alone, so the stored signature and the
+    computed sizes are compared one by one."""
+    twin = ThetaStableAlgebra(list(q.blocks))
+    assert twin == q, q
+    assert twin.signature == q.signature, q
+    assert twin.levi_sizes == q.levi_sizes, q
+    assert twin.total == q.total, q
+
+
+def test_unchecked_algebras_equal_their_checked_twins():
+    """Slow oracle for the algebras the library builds without block
+    checks: the 32,504 generated ones with a+b <= 10, the canonical form
+    and every predecessor of each, and every packet member with a+b <= 8
+    (50,834 members; a+b <= 10 means 1,028,678 and about 16 s)."""
+    start = time.perf_counter()
+    count = 0
+    for n in range(11):
+        for a in range(n + 1):
+            for q, _, _ in _standard(a, n - a):
+                count += 1
+                assert_equals_checked_twin(q)
+                assert_equals_checked_twin(q.canonicalize())
+                for r0 in range(1, q.r + 1):
+                    assert_equals_checked_twin(predecessor(q, r0))
+                if n <= 8:
+                    for member, _ in enumerate_packet(q):
+                        assert_equals_checked_twin(member)
+    assert count == 32_504
+    print(f"checked-twin oracle: {time.perf_counter() - start:.2f} s")
+
+
+def test_generated_algebras_skip_the_block_checks(monkeypatch):
+    """`_standard`, `canonicalize` and `enumerate_packet` never call the
+    checking constructor, and every algebra of one frame shares one
+    signature tuple."""
+    split = alg((1, 0), (2, 0), (1, 1))
+
+    def refuse(self, blocks=()):
+        raise AssertionError(f"checked constructor called on {blocks!r}")
+
+    monkeypatch.setattr(ThetaStableAlgebra, "__init__", refuse)
+    found = [q for q, _, _ in _standard(4, 3)]
+    assert len({id(q.signature) for q in found}) == 1
+    assert split.canonicalize().blocks == ((3, 0), (1, 1))
+    for q in found:
+        for member, _ in enumerate_packet(q):
+            assert member.signature is q.signature
 
 
 def test_inf_char_examples():

@@ -17,7 +17,7 @@ import pytest
 from aql.arthur import ChiPair, ParameterRestriction
 from aql.convergence import AtlasRow, ChainStep, ConvergenceCertificate
 from aql.halfint import CharMultiset, Frozen, HalfInt, Weight
-from aql.parabolic import LambdaCharacter, ThetaStableAlgebra
+from aql.parabolic import LambdaCharacter, ThetaStableAlgebra, enumerate_standard
 from aql.partitions import FramedPair, Partition
 from aql.thetalift import LiftDatum, LiftReport, build_source, full_report
 
@@ -178,10 +178,19 @@ def test_a_new_subclass_takes_its_fields_from_its_constructor():
     assert Span(1, 3) != Span(1, 4) and Span(1, 3) != (1, 3)
 
 
+def test_an_algebra_stores_its_blocks_and_signature_only():
+    assert ThetaStableAlgebra.__slots__ == ("blocks", "signature", "__weakref__")
+    for name in ("levi_sizes", "total"):
+        assert isinstance(vars(ThetaStableAlgebra)[name], property)
+
+
 def test_algebra_copies_keep_their_sizes():
+    """Checked or generated unchecked, an algebra copies with its sizes."""
     q = ThetaStableAlgebra(((2, 1), (0, 3), (1, 1)))
-    for clone in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q)):
-        assert (clone.signature, clone.levi_sizes, clone.total) == ((3, 5), (3, 3, 2), 8)
+    generated = next(g for g in enumerate_standard(3, 5) if g == q)
+    for value in (q, generated):
+        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert (clone.signature, clone.levi_sizes, clone.total) == ((3, 5), (3, 3, 2), 8)
 
 
 @pytest.mark.parametrize("cls", [ThetaStableAlgebra, AtlasRow], ids=lambda cls: cls.__name__)
