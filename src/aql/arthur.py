@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Tuple
 
 from .halfint import CharMultiset, Frozen, HalfIntLike, exact_int, format_twice, twice_of
-from .parabolic import ThetaStableAlgebra, _as_lambda, centred_string, m_coeffs
+from .parabolic import ThetaStableAlgebra, _as_lambda, _m_of, centred_string, m_coeffs
 
 
 class ParityError(ValueError):
@@ -105,9 +105,9 @@ def psi_lambda_q(q: ThetaStableAlgebra, lam=None) -> ParameterRestriction:
     """The parameter attached to (q, lambda): block i contributes
     mu^(lambda_i + m_i/2) (x) sigma_{n_i}."""
     lam = _as_lambda(q, lam)
-    ms = m_coeffs(q)
+    sizes = q.levi_sizes
     return ParameterRestriction(
-        twice=((2 * lam_i + m_i, n_i) for lam_i, m_i, n_i in zip(lam.values, ms, q.levi_sizes))
+        twice=((2 * lam_i + m_i, n_i) for lam_i, m_i, n_i in zip(lam.values, _m_of(sizes), sizes))
     )
 
 

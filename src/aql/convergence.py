@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .halfint import Frozen, exact_int
-from .parabolic import ThetaStableAlgebra, _degree_of_rows, _standard, packet_size
+from .parabolic import ThetaStableAlgebra, _standard, packet_size
 from .thetalift import _source_algebra
 
 
@@ -84,7 +84,19 @@ def is_convergent(
 
 
 def _convergent(q: ThetaStableAlgebra, lax: bool) -> Tuple[bool, Optional[ConvergenceCertificate]]:
-    """`is_convergent` of an algebra that is already canonical."""
+    """`is_convergent` of an algebra that is already canonical.  One pass
+    over the blocks rejects most algebras: a mixed block and no block
+    holding more than half the slots."""
+    n = q.total
+    compact = True
+    for ai, bi in q.blocks:
+        if 2 * (ai + bi) > n:
+            break
+        if ai and bi:
+            compact = False
+    else:
+        if not compact:
+            return False, None
     steps = []
     while not q.has_compact_levi:
         n = q.total
@@ -181,7 +193,7 @@ class AtlasRow(Frozen):
                 str(self.R_minus),
                 str(self.packet_size),
                 "true" if self.convergent else "false",
-                ">".join(f"{a},{b}" for a, b in self.chain),
+                ">".join([f"{a},{b}" for a, b in self.chain]),
             )
         )
 
@@ -199,27 +211,27 @@ def atlas(a: int, b: int, lax: bool = False) -> List[AtlasRow]:
     rows = []
     shared = {}  # one tuple per distinct stripped row or chain, for every row
     packets = {}  # the packet size depends only on the multiset of block sizes
-    for q, alpha, beta in _standard(a, b):
-        # rows weakly decrease, so their nonzero parts are the stripped partition
-        alpha_t = tuple(filter(None, alpha))
-        beta_t = tuple(filter(None, beta))
-        R, R_plus, R_minus = _degree_of_rows(alpha, beta, a, b)
+    alphas = {}  # each distinct alpha row: stripped, with R+ = |alpha|
+    beta = None
+    # rows weakly decrease, so their nonzero parts are the stripped partition;
+    # R+ counts the cells of alpha and R- those of the frame outside beta
+    for q, alpha, q_beta in _standard(a, b):
+        if q_beta != beta:  # the algebras of one beta come one after another
+            beta = q_beta
+            beta_t = tuple(filter(None, beta))
+            beta_t = shared.setdefault(beta_t, beta_t)
+            R_minus = a * b - sum(beta)
+        if alpha not in alphas:
+            alpha_t = tuple(filter(None, alpha))
+            alphas[alpha] = shared.setdefault(alpha_t, alpha_t), sum(alpha)
+        alpha_t, R_plus = alphas[alpha]
         sizes = tuple(sorted(q.levi_sizes))
         if sizes not in packets:
             packets[sizes] = packet_size(q)
         ok, cert = _convergent(q, lax)
         chain = tuple(cert.signature_chain()) if cert else ()
         rows.append(
-            AtlasRow(
-                pair_alpha=shared.setdefault(alpha_t, alpha_t),
-                pair_beta=shared.setdefault(beta_t, beta_t),
-                blocks=q,
-                R=R,
-                R_plus=R_plus,
-                R_minus=R_minus,
-                packet_size=packets[sizes],
-                convergent=ok,
-                chain=shared.setdefault(chain, chain),
-            )
+            AtlasRow(alpha_t, beta_t, q, R_plus + R_minus, R_plus, R_minus, packets[sizes], ok,
+                    shared.setdefault(chain, chain))
         )
     return rows

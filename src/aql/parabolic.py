@@ -128,7 +128,11 @@ class ThetaStableAlgebra(Frozen):
         return cls(blocks)
 
     def unparse(self) -> str:
-        return ";".join(f"{a},{b}" for a, b in self.blocks)
+        """The flag grammar "a1,b1;a2,b2;..." that `parse` reads."""
+        try:
+            return ";".join([_BLOCK_TEXT[ai][bi] for ai, bi in self.blocks])
+        except IndexError:  # a block side above MAX_FRAME, which only `parse` admits
+            return ";".join([f"{ai},{bi}" for ai, bi in self.blocks])
 
     def to_json(self) -> dict:
         return {"blocks": [list(b) for b in self.blocks]}
@@ -138,7 +142,7 @@ class ThetaStableAlgebra(Frozen):
         return cls(doc["blocks"])
 
     def __str__(self):
-        return "(" + ";".join(f"{a},{b}" for a, b in self.blocks) + ")"
+        return f"({self.unparse()})"
 
 
 class LambdaCharacter(Frozen):
@@ -268,16 +272,15 @@ def root_of(cell: Tuple[int, int, int], a: int, b: int) -> Weight:
     return Weight(tuple(xs), tuple(ys))
 
 
-def _degree_of_rows(alpha: List[int], beta: List[int], a: int, b: int) -> Tuple[int, int, int]:
-    """(R, R+, R-) from the rows of `_rows` in the a x b frame."""
+def cohomological_degree(q: ThetaStableAlgebra) -> Tuple[int, int, int]:
+    """(R, R+, R-): dim of the noncompact nilradical and its split.  R+
+    counts the cells of alpha and R- the cells of the a x b frame outside
+    beta."""
+    alpha, beta = _rows(q)
+    a, b = q.signature
     r_plus = sum(alpha)
     r_minus = a * b - sum(beta)
     return (r_plus + r_minus, r_plus, r_minus)
-
-
-def cohomological_degree(q: ThetaStableAlgebra) -> Tuple[int, int, int]:
-    """(R, R+, R-): dim of the noncompact nilradical and its split."""
-    return _degree_of_rows(*_rows(q), *q.signature)
 
 
 def two_rho_up(q: ThetaStableAlgebra) -> Weight:
@@ -303,7 +306,12 @@ def two_rho_up(q: ThetaStableAlgebra) -> Weight:
 
 def m_coeffs(q: ThetaStableAlgebra) -> Tuple[int, ...]:
     """m_i = -(n_1+...+n_{i-1}) + (n_{i+1}+...+n_r) for each block."""
-    sizes, n = q.levi_sizes, q.total
+    return _m_of(q.levi_sizes)
+
+
+def _m_of(sizes: Tuple[int, ...]) -> Tuple[int, ...]:
+    """`m_coeffs` from the Levi sizes n_i."""
+    n = sum(sizes)
     return tuple(n - n_i - 2 * p for n_i, p in zip(sizes, accumulate(sizes, initial=0)))
 
 
@@ -322,8 +330,9 @@ def inf_char_aq(q: ThetaStableAlgebra, lam=None) -> CharMultiset:
     Levi, so no positive system is ever chosen.
     """
     lam = _as_lambda(q, lam)
+    sizes = q.levi_sizes
     entries = []
-    for lam_i, m_i, n_i in zip(lam.values, m_coeffs(q), q.levi_sizes):
+    for lam_i, m_i, n_i in zip(lam.values, _m_of(sizes), sizes):
         entries.extend(centred_string(2 * lam_i + m_i, n_i))
     return CharMultiset(twice=entries)
 
@@ -454,6 +463,8 @@ def degree(w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]] = None) 
 
 MAX_FRAME = 13
 MAX_SLOTS = 1_000
+# the text "a,b" of every block with both sides at most MAX_FRAME, as [a][b]
+_BLOCK_TEXT = [[f"{ai},{bi}" for bi in range(MAX_FRAME + 1)] for ai in range(MAX_FRAME + 1)]
 
 
 def _standard(a: int, b: int):

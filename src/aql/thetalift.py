@@ -36,12 +36,12 @@ from .parabolic import (
     LambdaCharacter,
     ThetaStableAlgebra,
     _as_lambda,
+    _m_of,
     centred_string,
     degree_twice,
     inf_char_aq,
     k_types_bounded,
     lowest_k_type,
-    m_coeffs,
     recentred,
 )
 
@@ -141,8 +141,9 @@ class LiftReport(Frozen):
 
 def select_r0(q: ThetaStableAlgebra) -> List[int]:
     """All 1-based indices of blocks of maximal size, smallest first."""
-    top = max(q.levi_sizes, default=0)
-    return [i + 1 for i, n in enumerate(q.levi_sizes) if n == top]
+    sizes = q.levi_sizes
+    top = max(sizes, default=0)
+    return [i + 1 for i, n in enumerate(sizes) if n == top]
 
 
 def _resolve_chi(chi, n: int, n_prime: int) -> ChiPair:
@@ -162,7 +163,9 @@ def _source_algebra(q: ThetaStableAlgebra, r0: int) -> ThetaStableAlgebra:
     """Block r0 removed and the later blocks reflected, left unmerged."""
     if not 1 <= exact_int(r0) <= q.r:
         raise ValueError(f"r0={r0} out of range 1..{q.r}")
-    return ThetaStableAlgebra(list(q.blocks[: r0 - 1]) + [(b, a) for a, b in q.blocks[r0:]])
+    blocks = q.blocks[: r0 - 1] + tuple([(bi, ai) for ai, bi in q.blocks[r0:]])
+    signature = (sum(ai for ai, _ in blocks), sum(bi for _, bi in blocks))
+    return ThetaStableAlgebra._trusted(blocks, signature)
 
 
 def build_source(
@@ -190,7 +193,7 @@ def build_source(
     n_r0 = sizes[r0 - 1]
     n_prime = n - n_r0
     chi = _resolve_chi(chi, n, n_prime)
-    m_r0 = m_coeffs(q)[r0 - 1]
+    m_r0 = _m_of(sizes)[r0 - 1]
     lam_r0 = lam.values[r0 - 1]
     lam_prime: List[int] = []
     for i, lam_i in enumerate(lam.values, start=1):
@@ -234,7 +237,7 @@ def verify_parameter_identity(d: LiftDatum) -> bool:
 
 def _inf_char_check(d: LiftDatum):
     """(verdict, lifted source infinitesimal character, target one)."""
-    n_r0 = d.target_q.levi_sizes[d.r0 - 1]
+    n_r0 = sum(d.target_q.blocks[d.r0 - 1])
     chi_jump = d.chi.alpha2 - d.chi.alpha1
     entries = [v + chi_jump for v in inf_char_aq(d.source_q, d.source_lambda).entries]
     entries.extend(centred_string(d.chi.alpha2, n_r0))

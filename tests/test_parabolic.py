@@ -43,7 +43,7 @@ from aql.partitions import (
     enumerate_compatible,
 )
 from aql.convergence import atlas, predecessor
-from aql.thetalift import DEFAULT_BOUND
+from aql.thetalift import DEFAULT_BOUND, _source_algebra, build_source
 
 
 def alg(*blocks):
@@ -88,6 +88,30 @@ def test_every_public_entry_checks_the_blocks(block):
         copy.deepcopy(unchecked)
     with pytest.raises(ValueError):
         ThetaStableAlgebra.parse(f"1,1;{block[0]},{block[1]}")
+
+
+def test_unparse_joins_the_blocks_and_parses_back():
+    """`unparse` reads blocks with both sides up to MAX_FRAME from a table
+    and formats larger ones; either way it is the plain join, and `parse`
+    reads it back, for every generated algebra with a+b <= 10 and for
+    lists with a block above the table."""
+
+    def plain(q):
+        return ";".join(f"{a},{b}" for a, b in q.blocks)
+
+    count = 0
+    for n in range(11):
+        for a in range(n + 1):
+            for q, _, _ in _standard(a, n - a):
+                count += 1
+                assert q.unparse() == plain(q), q
+                assert ThetaStableAlgebra.parse(q.unparse()) == q
+                assert str(q) == f"({plain(q)})"
+    assert count == 32_504
+    for text in ("500,499;0,1", "0,1;14,0;1,13", f"{MAX_FRAME},{MAX_FRAME};{MAX_FRAME + 1},0", ""):
+        q = ThetaStableAlgebra.parse(text)
+        assert q.unparse() == plain(q) == text
+        assert ThetaStableAlgebra.parse(q.unparse()) == q
 
 
 def test_canonical_form():
@@ -392,8 +416,9 @@ def assert_equals_checked_twin(q):
 
 def test_unchecked_algebras_equal_their_checked_twins():
     """Slow oracle for the algebras the library builds without block
-    checks: the 32,504 generated ones with a+b <= 10, the canonical form
-    and every predecessor of each, and every packet member with a+b <= 8
+    checks: the 32,504 generated ones with a+b <= 10, the canonical form,
+    every unmerged lift source and every predecessor of each, and every
+    packet member with a+b <= 8
     (50,834 members; a+b <= 10 means 1,028,678 and about 16 s)."""
     start = time.perf_counter()
     count = 0
@@ -404,6 +429,7 @@ def test_unchecked_algebras_equal_their_checked_twins():
                 assert_equals_checked_twin(q)
                 assert_equals_checked_twin(q.canonicalize())
                 for r0 in range(1, q.r + 1):
+                    assert_equals_checked_twin(_source_algebra(q, r0))
                     assert_equals_checked_twin(predecessor(q, r0))
                 if n <= 8:
                     for member, _ in enumerate_packet(q):
@@ -413,9 +439,9 @@ def test_unchecked_algebras_equal_their_checked_twins():
 
 
 def test_generated_algebras_skip_the_block_checks(monkeypatch):
-    """`_standard`, `canonicalize` and `enumerate_packet` never call the
-    checking constructor, and every algebra of one frame shares one
-    signature tuple."""
+    """`_standard`, `canonicalize`, `enumerate_packet`, `predecessor` and
+    `build_source` never call the checking constructor, and every algebra
+    of one frame shares one signature tuple."""
     split = alg((1, 0), (2, 0), (1, 1))
 
     def refuse(self, blocks=()):
@@ -428,6 +454,9 @@ def test_generated_algebras_skip_the_block_checks(monkeypatch):
     for q in found:
         for member, _ in enumerate_packet(q):
             assert member.signature is q.signature
+        for r0 in range(1, q.r + 1):
+            predecessor(q, r0)
+            build_source(q, r0=r0)
 
 
 def test_inf_char_examples():

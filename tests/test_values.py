@@ -266,3 +266,19 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_the_readme_layout_table_lists_every_public_name():
+    """Every public name of `import aql` is in the README "Library layout"
+    table, as `name` or, for a submodule, as `aql.name`."""
+    import aql
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = "\n".join(
+        line for line in readme.split("## Library layout", 1)[1].splitlines() if line.startswith("|")
+    )
+    missing = [
+        name for name in vars(aql)
+        if not name.startswith("_") and f"`{name}`" not in table and f"`aql.{name}`" not in table
+    ]
+    assert missing == []
