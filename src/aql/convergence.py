@@ -84,25 +84,24 @@ def is_convergent(
 
 
 def _convergent(q: ThetaStableAlgebra, lax: bool) -> Tuple[bool, Optional[ConvergenceCertificate]]:
-    """`is_convergent` of an algebra that is already canonical.  One pass
-    over the blocks rejects most algebras: a mixed block and no block
-    holding more than half the slots."""
-    n = q.total
-    compact = True
-    for ai, bi in q.blocks:
-        if 2 * (ai + bi) > n:
-            break
-        if ai and bi:
-            compact = False
-    else:
-        if not compact:
-            return False, None
+    """`is_convergent` of an algebra that is already canonical.  Each step
+    finds in one pass over the blocks whether the Levi is compact and
+    which block, if any, holds more than half the slots."""
     steps = []
-    while not q.has_compact_levi:
-        n = q.total
-        r0 = next((i for i, (ai, bi) in enumerate(q.blocks, 1) if 2 * (ai + bi) > n), None)
-        if r0 is None:
+    while True:
+        half = q.total // 2  # a block holds more than half the slots when ai + bi > half
+        big = None
+        compact = True
+        for ai, bi in q.blocks:
+            if ai + bi > half:
+                big = ai, bi
+            if ai and bi:
+                compact = False
+        if compact:
+            break
+        if big is None:
             return False, None
+        r0 = q.blocks.index(big) + 1  # big is unique: a copy would hold over half too
         pred = predecessor(q, r0)
         waived = lax and (not steps or pred.has_compact_levi)
         if not waived and not _stable_ok(pred.signature, q.signature):
@@ -193,7 +192,7 @@ class AtlasRow(Frozen):
                 str(self.R_minus),
                 str(self.packet_size),
                 "true" if self.convergent else "false",
-                ">".join([f"{a},{b}" for a, b in self.chain]),
+                ">".join(f"{a},{b}" for a, b in self.chain),
             )
         )
 
@@ -231,7 +230,16 @@ def atlas(a: int, b: int, lax: bool = False) -> List[AtlasRow]:
         ok, cert = _convergent(q, lax)
         chain = tuple(cert.signature_chain()) if cert else ()
         rows.append(
-            AtlasRow(alpha_t, beta_t, q, R_plus + R_minus, R_plus, R_minus, packets[sizes], ok,
-                    shared.setdefault(chain, chain))
+            AtlasRow(
+                pair_alpha=alpha_t,
+                pair_beta=beta_t,
+                blocks=q,
+                R=R_plus + R_minus,
+                R_plus=R_plus,
+                R_minus=R_minus,
+                packet_size=packets[sizes],
+                convergent=ok,
+                chain=shared.setdefault(chain, chain),
+            )
         )
     return rows
