@@ -5,7 +5,8 @@ classification of standard theta-stable parabolic subalgebras, the
 attached Arthur-parameter restrictions and infinitesimal characters,
 lowest K-types and bounded K-type cones, packets, the theta-lift source
 construction with its four exact verification checks, and convergence
-certificates obtained by a backward walk with no choices.
+certificates, found by a backward walk with no choices or generated
+forward for a whole frame.
 """
 
 from .halfint import CharMultiset, HalfInt, Weight, format_twice, half, multiset_of, shift, twice_of
@@ -68,6 +69,7 @@ from .convergence import (
     ChainStep,
     ConvergenceCertificate,
     atlas,
+    enumerate_convergent,
     is_convergent,
     predecessor,
     validate_certificate,

@@ -26,9 +26,10 @@ from .parabolic import (
     LambdaCharacter,
     ThetaStableAlgebra,
     _as_lambda,
+    _check_frame,
+    _standard_count,
     cohomological_degree,
     enumerate_packet,
-    enumerate_standard,
     inf_char_aq,
     lowest_k_type,
     partitions_from_blocks,
@@ -73,7 +74,8 @@ def _default_bound(args) -> int:
 
 def cmd_partitions_enumerate(args) -> int:
     if args.count:
-        _emit(len(enumerate_standard(args.a, args.b)))  # one algebra per pair
+        _check_frame(args.a, args.b)
+        _emit(_standard_count(args.a, args.b))  # one algebra per pair, none built
     else:
         _emit([p.to_json() for p in enumerate_compatible(args.a, args.b)])
     return 0

@@ -8,7 +8,10 @@ the other blocks, so the growth condition n > 2(n - n_r0) holds exactly
 when block r0 holds more than half of the n slots.  At most one block
 can, so the backward walk has no choices: each step takes that block,
 and chains have at most floor(log2 n) + 1 steps.  Certificates are
-therefore reproducible byte for byte.
+therefore reproducible byte for byte.  Inverting the walk generates the
+convergent algebras of a frame forward from those of smaller frames, with
+no search (`enumerate_convergent`, and the convergence columns of
+`atlas`).
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .halfint import Frozen, exact_int
-from .parabolic import ThetaStableAlgebra, _standard, packet_size
+from .parabolic import (
+    ThetaStableAlgebra, _check_frame, _merge_pure, _pairs_text, _standard, packet_size,
+)
 from .thetalift import _source_algebra
 
 
@@ -79,14 +84,10 @@ def is_convergent(
     canonicalized first.  The walk steps back at the one block holding
     more than half the slots, the only one that passes the growth
     condition, until it reaches a compact Levi.  In lax mode the stable
-    range is waived on the final step and on the step out of the base."""
-    return _convergent(q.canonicalize(), lax)
-
-
-def _convergent(q: ThetaStableAlgebra, lax: bool) -> Tuple[bool, Optional[ConvergenceCertificate]]:
-    """`is_convergent` of an algebra that is already canonical.  Each step
-    finds in one pass over the blocks whether the Levi is compact and
-    which block, if any, holds more than half the slots."""
+    range is waived on the final step and on the step out of the base.
+    Each step finds in one pass over the blocks whether the Levi is
+    compact and which block, if any, holds more than half the slots."""
+    q = q.canonicalize()
     steps = []
     while True:
         half = q.total // 2  # a block holds more than half the slots when ai + bi > half
@@ -110,6 +111,129 @@ def _convergent(q: ThetaStableAlgebra, lax: bool) -> Tuple[bool, Optional[Conver
         q = pred
     steps.append(ChainStep(q.signature, q, None))
     return True, ConvergenceCertificate(steps=tuple(reversed(steps)), lax=lax)
+
+
+def _compact_bases(a: int, b: int, last: Optional[int] = None):
+    """The all-pure canonical block lists of U(a, b), one per word of a
+    x's and b y's (its runs are the blocks), so C(a+b, a) of them.  They
+    come in order of the first block, (1,0), ..., (a,0), then (0,1), ...,
+    (0,b), then of the rest in the same order; `last` is the side (0 for
+    x, 1 for y) the next block may not take."""
+    if a == b == 0:
+        yield ()
+        return
+    if last != 0:
+        for k in range(1, a + 1):
+            for rest in _compact_bases(a - k, b, 0):
+                yield ((k, 0),) + rest
+    if last != 1:
+        for k in range(1, b + 1):
+            for rest in _compact_bases(a, b - k, 1):
+                yield ((0, k),) + rest
+
+
+def _cuts(blocks: Tuple[Tuple[int, int], ...]):
+    """Each way to write blocks as prefix + suffix, left to right: at every
+    block boundary, and inside every pure block split in two; with the
+    prefix's signature."""
+    ca = cb = 0
+    for i, (ai, bi) in enumerate(blocks):
+        yield blocks[:i], blocks[i:], ca, cb
+        if not (ai and bi):
+            for j in range(1, ai + bi):
+                head, tail = ((j, 0), (ai - j, 0)) if ai else ((0, j), (0, bi - j))
+                yield blocks[:i] + (head,), (tail,) + blocks[i + 1:], ca + head[0], cb + head[1]
+        ca += ai
+        cb += bi
+    yield blocks, (), ca, cb
+
+
+def _lift_tables(a: int, b: int, lax: bool):
+    """The noncompact convergent algebras of U(a, b), generated forward
+    from their predecessors with no search, as (top, inner): top maps the
+    blocks of each to (predecessor blocks, r0, signature chain) in
+    construction order, and inner[(a', b')] is the same table of a smaller
+    frame as a step below the top sees it (in lax mode the top step also
+    waives the stable range).
+
+    The walk back from q cuts out the block r0 holding more than half the
+    slots and reflects the blocks after it; so q comes back from its
+    predecessor p, for every frame (a', b') that passes the growth test
+    and every convergent p of it, compact bases included, by cutting p at
+    a block boundary or inside one pure block, reflecting the suffix back
+    and putting between the parts the block that fills (a, b).  A result
+    is kept when it is canonical and not all-pure; each q arises once.
+    Equal chains share one tuple."""
+    inner = {}
+    chains = {}
+
+    def table(a: int, b: int, top: bool) -> dict:
+        out = {}
+        n = a + b
+        for n1 in range(n):
+            for a1 in range(n1 + 1):
+                lower = (a1, n1 - a1)
+                if not _growth_ok(lower, (a, b)):
+                    continue
+                stable = _stable_ok(lower, (a, b))
+                sources = []
+                if stable or lax:  # lax mode waives the step out of a compact base
+                    base = chains.setdefault((lower,), (lower,))
+                    sources.append((True, ((p, base) for p in _compact_bases(*lower))))
+                if stable or (lax and top):
+                    if lower not in inner:
+                        inner[lower] = table(*lower, False)
+                    sources.append((False, ((p, e[2]) for p, e in inner[lower].items())))
+                for compact, preds in sources:
+                    for p, p_chain in preds:
+                        chain = p_chain + ((a, b),)
+                        chain = chains.setdefault(chain, chain)
+                        for head, tail, ca, cb in _cuts(p):
+                            # the suffix reflected back holds (b1 - cb, a1 - ca) of p's slots
+                            x, y = a - ca - (n1 - a1 - cb), b - cb - (a1 - ca)
+                            if x < 0 or y < 0 or (compact and not (x and y)):
+                                continue
+                            q = head + ((x, y),) + tuple([(bi, ai) for ai, bi in tail])
+                            if _merge_pure(q) == q:
+                                out[q] = (p, len(head) + 1, chain)
+        return out
+
+    return table(a, b, True), inner
+
+
+def enumerate_convergent(a: int, b: int, lax: bool = False):
+    """Every convergent canonical algebra of U(a, b) with its certificate,
+    as (q, certificate), generated forward from the predecessors and not
+    by filtering: first the compact bases (in `_compact_bases` order), then
+    the others by predecessor frame (a'+b', then a'), by predecessor (the
+    frame's compact bases, then its other convergent algebras in this
+    order) and by cut, left to right.  Frames above MAX_FRAME are allowed; negative
+    sides raise FrameError at the call."""
+    _check_frame(a, b, capped=False)
+    top, inner = _lift_tables(a, b, lax)
+
+    def certificate(blocks, entry) -> ConvergenceCertificate:
+        steps = []
+        while True:
+            pred, r0, chain = entry
+            steps.append(ChainStep(chain[-1], ThetaStableAlgebra._trusted(blocks, chain[-1]), r0))
+            if len(chain) == 2:  # the predecessor is the compact base
+                break
+            blocks, entry = pred, inner[chain[-2]][pred]
+        base = ThetaStableAlgebra._trusted(pred, chain[0])
+        steps.append(ChainStep(chain[0], base, None))
+        return ConvergenceCertificate(steps=tuple(reversed(steps)), lax=lax)
+
+    def generate():
+        signature = (a, b)
+        for blocks in _compact_bases(a, b):
+            q = ThetaStableAlgebra._trusted(blocks, signature)
+            yield q, ConvergenceCertificate(steps=(ChainStep(signature, q, None),), lax=lax)
+        for blocks, entry in top.items():
+            cert = certificate(blocks, entry)
+            yield cert.steps[-1].blocks, cert
+
+    return generate()
 
 
 def validate_certificate(
@@ -192,7 +316,7 @@ class AtlasRow(Frozen):
                 str(self.R_minus),
                 str(self.packet_size),
                 "true" if self.convergent else "false",
-                ">".join(f"{a},{b}" for a, b in self.chain),
+                _pairs_text(self.chain, ">") if self.chain else "",
             )
         )
 
@@ -207,14 +331,17 @@ def atlas(a: int, b: int, lax: bool = False) -> List[AtlasRow]:
     """
     if exact_int(a) == exact_int(b) == 0:
         return []
+    standard = _standard(a, b)  # checks the frame before anything is built
+    lifted = _lift_tables(a, b, lax)[0]
+    compact = ((a, b),)  # the chain of every compact row
     rows = []
-    shared = {}  # one tuple per distinct stripped row or chain, for every row
+    shared = {}  # one tuple per distinct stripped row, for every row
     packets = {}  # the packet size depends only on the multiset of block sizes
     alphas = {}  # each distinct alpha row: stripped, with R+ = |alpha|
     beta = None
     # rows weakly decrease, so their nonzero parts are the stripped partition;
     # R+ counts the cells of alpha and R- those of the frame outside beta
-    for q, alpha, q_beta in _standard(a, b):
+    for q, alpha, q_beta in standard:
         if q_beta != beta:  # the algebras of one beta come one after another
             beta = q_beta
             beta_t = tuple(filter(None, beta))
@@ -227,19 +354,12 @@ def atlas(a: int, b: int, lax: bool = False) -> List[AtlasRow]:
         sizes = tuple(sorted(q.levi_sizes))
         if sizes not in packets:
             packets[sizes] = packet_size(q)
-        ok, cert = _convergent(q, lax)
-        chain = tuple(cert.signature_chain()) if cert else ()
+        if alpha == q_beta:  # no x-row's block has a y-slot: the Levi is compact
+            ok, chain = True, compact
+        else:
+            entry = lifted.get(q.blocks)
+            ok, chain = (True, entry[2]) if entry else (False, ())
         rows.append(
-            AtlasRow(
-                pair_alpha=alpha_t,
-                pair_beta=beta_t,
-                blocks=q,
-                R=R_plus + R_minus,
-                R_plus=R_plus,
-                R_minus=R_minus,
-                packet_size=packets[sizes],
-                convergent=ok,
-                chain=shared.setdefault(chain, chain),
-            )
+            AtlasRow(alpha_t, beta_t, q, R_plus + R_minus, R_plus, R_minus, packets[sizes], ok, chain)
         )
     return rows

@@ -129,10 +129,7 @@ class ThetaStableAlgebra(Frozen):
 
     def unparse(self) -> str:
         """The flag grammar "a1,b1;a2,b2;..." that `parse` reads."""
-        try:
-            return ";".join([_BLOCK_TEXT[ai][bi] for ai, bi in self.blocks])
-        except IndexError:  # a block side above MAX_FRAME, which only `parse` admits
-            return ";".join([f"{ai},{bi}" for ai, bi in self.blocks])
+        return _pairs_text(self.blocks, ";")
 
     def to_json(self) -> dict:
         return {"blocks": [list(b) for b in self.blocks]}
@@ -467,6 +464,50 @@ MAX_SLOTS = 1_000
 _BLOCK_TEXT = [[f"{ai},{bi}" for bi in range(MAX_FRAME + 1)] for ai in range(MAX_FRAME + 1)]
 
 
+def _pairs_text(pairs: Iterable[Tuple[int, int]], sep: str) -> str:
+    """The pairs as "a,b" joined by sep, read from _BLOCK_TEXT and formatted
+    only when a side is above MAX_FRAME (which only `parse` and hand-built
+    values admit)."""
+    try:
+        return sep.join([_BLOCK_TEXT[ai][bi] for ai, bi in pairs])
+    except IndexError:
+        return sep.join([f"{ai},{bi}" for ai, bi in pairs])
+
+
+def _check_frame(a: int, b: int, capped: bool = True) -> None:
+    """Raise FrameError for a negative side or, when capped, for a+b above
+    MAX_FRAME."""
+    if exact_int(a) < 0 or exact_int(b) < 0:
+        raise FrameError("frame sides must be non-negative")
+    if capped and a + b > MAX_FRAME:
+        raise FrameError(f"frame {a}x{b} is too large: a+b must be at most {MAX_FRAME}")
+
+
+def _standard_count(a: int, b: int) -> int:
+    """len(enumerate_standard(a, b)) for any frame, with no algebra built:
+    a DP over the block lists of each (i, j) <= (a, b), split by the kind
+    of their last block.  A pure-x block may follow any list not ending
+    pure x, a pure-y block any list not ending pure y, and a mixed block
+    any list; prefix sums over the smaller frames make each entry O(1)."""
+    col_x = [0] * (b + 1)  # per j, lists of (i', j) for i' < i that may take a pure-x block
+    col_all = [0] * (b + 1)  # per j, all lists of (i', j) for i' < i
+    for i in range(a + 1):
+        # lists of (i, j') for j' < j that may take a pure-y block, and all
+        # lists of (i', j') for i' < i and j' < j, which may take a mixed one
+        row_y = mixed = 0
+        totals = []
+        for j in range(b + 1):
+            ends_x, ends_y = col_x[j], row_y
+            total = ends_x + ends_y + mixed + (i == j == 0)  # the empty list at (0, 0)
+            totals.append((total, total - ends_x))
+            row_y += total - ends_y
+            mixed += col_all[j]
+        for j, (total, open_x) in enumerate(totals):
+            col_x[j] += open_x
+            col_all[j] += total
+    return total
+
+
 def _standard(a: int, b: int):
     """The canonical standard algebras of U(a,b) with their unstripped rows,
     as (q, alpha, beta) in (beta, alpha) order, built without a search.
@@ -478,10 +519,7 @@ def _standard(a: int, b: int):
     then u - w pure y-slots; k = L stands for u = v.  The run's alpha
     grows with (k, u).  A lead of b - beta_1 pure y-slots comes first.
     Negative sides or a+b above MAX_FRAME raise FrameError at the call."""
-    if exact_int(a) < 0 or exact_int(b) < 0:
-        raise FrameError("frame sides must be non-negative")
-    if a + b > MAX_FRAME:
-        raise FrameError(f"frame {a}x{b} is too large: a+b must be at most {MAX_FRAME}")
+    _check_frame(a, b)
     # each (ai, bi) is made once, so equal blocks and signatures of one enumeration share it
     pairs = [[(ai, bi) for bi in range(b + 1)] for ai in range(a + 1)]
 

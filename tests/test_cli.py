@@ -77,12 +77,13 @@ def test_enumerate_count_counts_algebras_without_building_pairs(capsys, monkeypa
     assert counts[0, 0] == 1
 
     def untouchable(a, b):
-        raise AssertionError("--count built the pairs")
+        raise AssertionError("--count built the pairs or the algebras")
 
     def count(a, b):
         return run_cli(capsys, "partitions", "enumerate", "--a", str(a), "--b", str(b), "--count")
 
     monkeypatch.setattr("aql.cli.enumerate_compatible", untouchable)
+    monkeypatch.setattr("aql.parabolic._standard", untouchable)
     for (a, b), want in counts.items():
         assert count(a, b)[:2] == (0, f"{want}\n")
     for a, b in ((-1, 2), (2, -1)):

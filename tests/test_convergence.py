@@ -9,18 +9,21 @@ from aql.convergence import (
     ChainStep,
     ConvergenceCertificate,
     atlas,
+    enumerate_convergent,
     is_convergent,
     predecessor,
     validate_certificate,
 )
 from aql.parabolic import (
     ThetaStableAlgebra,
+    _standard,
     cohomological_degree,
     enumerate_packet,
     enumerate_standard,
     packet_size,
     partitions_from_blocks,
 )
+from aql.partitions import FrameError
 from aql.thetalift import build_source
 
 
@@ -225,6 +228,60 @@ def test_li_family_one_step_chains():
     assert found > 10
 
 
+@pytest.mark.parametrize("lax", [False, True], ids=["strict", "lax"])
+def test_enumerate_convergent_matches_the_filtered_standard(lax):
+    """The forward generation yields, once each, exactly the algebras of
+    `_standard` that `is_convergent` accepts, with the same certificate,
+    for every frame with a+b <= 12 (262,031 algebras filtered)."""
+    filtered = 0
+    for n in range(13):
+        for a in range(n + 1):
+            got = [(q.blocks, cert.to_json()) for q, cert in enumerate_convergent(a, n - a, lax)]
+            want = []
+            for q, _, _ in _standard(a, n - a):
+                filtered += n > 0
+                ok, cert = is_convergent(q, lax)
+                if ok:
+                    want.append((q.blocks, cert.to_json()))
+            assert len(got) == len(dict(got)), (a, n - a)
+            assert dict(got) == dict(want), (a, n - a)
+    assert filtered == 262_031
+
+
+@pytest.mark.parametrize("lax", [False, True], ids=["strict", "lax"])
+def test_enumerate_convergent_certificates_replay(lax):
+    for n in range(11):
+        for a in range(n + 1):
+            for q, cert in enumerate_convergent(a, n - a, lax):
+                assert q.signature == (a, n - a) and q.is_canonical
+                assert cert.lax == lax and cert.steps[-1].blocks == q
+                assert validate_certificate(cert, q) == [], q
+
+
+def test_enumerate_convergent_order_is_reproducible():
+    """Compact bases first, then the lifted algebras in construction
+    order, the same on every call."""
+    for a, b, lax in ((6, 5, False), (6, 5, True), (8, 8, True)):
+        first = [(q, cert) for q, cert in enumerate_convergent(a, b, lax)]
+        assert first == list(enumerate_convergent(a, b, lax))
+        compact = [q.has_compact_levi for q, _ in first]
+        assert compact == sorted(compact, reverse=True)
+    assert [q.blocks for q, _ in enumerate_convergent(1, 1)] == [
+        ((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1),),
+    ]
+
+
+def test_enumerate_convergent_runs_past_max_frame():
+    """Counts past MAX_FRAME, compact bases (C(a+b, a) of them) included."""
+    assert sum(1 for _ in enumerate_convergent(8, 8)) == 15_699
+    assert sum(1 for _ in enumerate_convergent(8, 8, lax=True)) == 15_971
+    assert sum(1 for _ in enumerate_convergent(10, 10)) == 198_329
+    assert [q.blocks for q, _ in enumerate_convergent(0, 0)] == [()]
+    for a, b in ((-1, 2), (2, -1)):
+        with pytest.raises(FrameError, match="non-negative"):
+            enumerate_convergent(a, b)
+
+
 def test_atlas_examples():
     rows = atlas(1, 1)
     assert len(rows) == 3
@@ -259,6 +316,15 @@ def test_atlas_tsv_shape():
     ]
     for row in rows:
         assert len(row.to_tsv().split("\t")) == len(header_cols)
+
+
+def test_atlas_tsv_formats_a_chain_above_the_text_table():
+    """Chain sides above MAX_FRAME, which only a hand-built row can hold,
+    are formatted instead of read from the table."""
+    q = alg((20, 0))
+    row = AtlasRow((), (), q, 0, 0, 0, 1, True, ((20, 0),))
+    assert row.to_tsv() == "\t\t20,0\t0\t0\t0\t1\ttrue\t20,0"
+    assert row.to_tsv() == oracle_tsv(row)
 
 
 def oracle_atlas(a, b, lax):

@@ -33,6 +33,7 @@ from aql.parabolic import (
     two_rho_up,
     _rows,
     _standard,
+    _standard_count,
 )
 from aql.partitions import (
     EMPTY,
@@ -195,6 +196,16 @@ def test_standard_enumeration_matches_direct_block_enumeration():
     for a in range(4):
         for b in range(4):
             assert {q.blocks for q in enumerate_standard(a, b)} == brute(a, b)
+
+
+def test_the_count_dp_counts_the_enumerated_algebras():
+    """`_standard_count` equals the length of the enumeration for every
+    frame with a+b <= 11, and counts frames past MAX_FRAME too."""
+    for n in range(12):
+        for a in range(n + 1):
+            assert _standard_count(a, n - a) == len(enumerate_standard(a, n - a)), (a, n - a)
+    assert _standard_count(7, 6) == 116_742
+    assert _standard_count(20, 20) == 121_308_311_024_220_006
 
 
 def test_enumerate_standard_rejects_negative_sides():
