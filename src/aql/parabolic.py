@@ -460,17 +460,18 @@ def degree(w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]] = None) 
 
 MAX_FRAME = 13
 MAX_SLOTS = 1_000
-# the text "a,b" of every block with both sides at most MAX_FRAME, as [a][b]
-_BLOCK_TEXT = [[f"{ai},{bi}" for bi in range(MAX_FRAME + 1)] for ai in range(MAX_FRAME + 1)]
+# the text "a,b" of every pair with both sides in [0, MAX_FRAME], as [a][b];
+# dicts, not lists, so that a negative side misses instead of counting back
+_BLOCK_TEXT = {ai: {bi: f"{ai},{bi}" for bi in range(MAX_FRAME + 1)} for ai in range(MAX_FRAME + 1)}
 
 
 def _pairs_text(pairs: Iterable[Tuple[int, int]], sep: str) -> str:
     """The pairs as "a,b" joined by sep, read from _BLOCK_TEXT and formatted
-    only when a side is above MAX_FRAME (which only `parse` and hand-built
+    only when a side is outside it (which only `parse` and hand-built
     values admit)."""
     try:
         return sep.join([_BLOCK_TEXT[ai][bi] for ai, bi in pairs])
-    except IndexError:
+    except KeyError:
         return sep.join([f"{ai},{bi}" for ai, bi in pairs])
 
 

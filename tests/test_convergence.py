@@ -318,12 +318,15 @@ def test_atlas_tsv_shape():
         assert len(row.to_tsv().split("\t")) == len(header_cols)
 
 
-def test_atlas_tsv_formats_a_chain_above_the_text_table():
-    """Chain sides above MAX_FRAME, which only a hand-built row can hold,
-    are formatted instead of read from the table."""
+def test_atlas_tsv_formats_a_chain_outside_the_text_table():
+    """Chain sides above MAX_FRAME or below 0, which only a hand-built row
+    can hold, are formatted instead of read from the table."""
     q = alg((20, 0))
     row = AtlasRow((), (), q, 0, 0, 0, 1, True, ((20, 0),))
     assert row.to_tsv() == "\t\t20,0\t0\t0\t0\t1\ttrue\t20,0"
+    assert row.to_tsv() == oracle_tsv(row)
+    row = AtlasRow((), (), q, 0, 0, 0, 1, True, ((-1, 0), (1, 13)))
+    assert row.to_tsv().endswith("\ttrue\t-1,0>1,13")
     assert row.to_tsv() == oracle_tsv(row)
 
 
