@@ -207,8 +207,8 @@ def enumerate_convergent(a: int, b: int, lax: bool = False):
     by filtering: first the compact bases (in `_compact_bases` order), then
     the others by predecessor frame (a'+b', then a'), by predecessor (the
     frame's compact bases, then its other convergent algebras in this
-    order) and by cut, left to right.  Frames above MAX_FRAME are allowed; negative
-    sides raise FrameError at the call."""
+    order) and by cut, left to right.  Frames above MAX_FRAME are allowed;
+    negative sides raise FrameError at the call."""
     _check_frame(a, b, capped=False)
     top, inner = _lift_tables(a, b, lax)
 
