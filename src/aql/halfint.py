@@ -158,8 +158,8 @@ class Weight(Frozen):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    # the cone search hashes, compares and sorts weights: spelled out here,
-    # as the base's `_values` property costs the lift loop about 7%
+    # the cone walk hashes and compares weights, and only `k_types_bounded`
+    # sorts them: spelled out, as the base's `_values` cost lift about 7%
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.x == other.x and self.y == other.y

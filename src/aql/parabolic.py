@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations_with_replacement, groupby
 from math import comb
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .halfint import CharMultiset, Frozen, HalfInt, Weight, exact_int, half
 from .partitions import FrameError, FramedPair, IncompatiblePairError, Partition
@@ -355,11 +355,17 @@ MAX_CONE = 200_000
 
 def k_types_bounded(q: ThetaStableAlgebra, lam=None, bound: int = 0) -> List[Weight]:
     """The cone lambda + 2rho(u cap p) + sum n_tau tau truncated at total
-    coefficient <= bound.  A superset of the actual K-types, which is all
-    the minimal-degree search needs.  Before anything is built, a cone of
-    more than MAX_CONE points (counted as C(bound + |roots|, |roots|)), or
-    whose points and roots (none are listed at bound 0) hold more than
-    MAX_CONE * MAX_FRAME coordinates, raises ValueError."""
+    coefficient <= bound, sorted.  A superset of the actual K-types, which
+    is all the minimal-degree search needs; that check walks the unordered
+    `_cone`, and only this function sorts.  Before anything is built, a
+    cone of more than MAX_CONE points (counted as C(bound + |roots|,
+    |roots|)), or whose points and roots (none are listed at bound 0) hold
+    more than MAX_CONE * MAX_FRAME coordinates, raises ValueError."""
+    return sorted(_cone(q, lam, bound))
+
+
+def _cone(q: ThetaStableAlgebra, lam, bound: int) -> Set[Weight]:
+    """The point set of `k_types_bounded`, unordered, after the same cap."""
     if exact_int(bound) < 0:
         raise ValueError("bound must be non-negative")
     n_roots = cohomological_degree(q)[0] if bound else 0
@@ -385,7 +391,7 @@ def k_types_bounded(q: ThetaStableAlgebra, lam=None, bound: int = 0) -> List[Wei
                     seen.add(cand)
                     nxt.append(cand)
         frontier = nxt
-    return sorted(seen)
+    return seen
 
 
 MAX_PACKET = 50_000
@@ -440,17 +446,21 @@ def recentred(
     and (b-a)/2 on the y-part, where (a, b) is the partner signature
     (`frame`).  With no partner given, the weight's own signature is used.
     """
-    fa, fb = frame if frame is not None else w.signature
-    cx = chi1_alpha + (fa - fb)
-    cy = chi1_alpha + (fb - fa)
+    cx, cy = _centres(w, chi1_alpha, frame)
     return [v - cx for v in w.x], [v - cy for v in w.y]
+
+
+def _centres(w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]]) -> Tuple[int, int]:
+    """The doubled centres that `recentred` subtracts from w.x and w.y."""
+    fa, fb = frame if frame is not None else w.signature
+    return chi1_alpha + (fa - fb), chi1_alpha + (fb - fa)
 
 
 def degree_twice(w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]] = None) -> int:
     """Twice the Fock-space degree of a weight relative to a dual-pair
     partner: the sum of the absolute recentred coordinates."""
-    rx, ry = recentred(w, chi1_alpha, frame)
-    return sum(map(abs, rx)) + sum(map(abs, ry))
+    cx, cy = _centres(w, chi1_alpha, frame)
+    return sum([abs(v - cx) for v in w.x]) + sum([abs(v - cy) for v in w.y])
 
 
 def degree(w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]] = None) -> HalfInt:

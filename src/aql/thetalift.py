@@ -36,11 +36,11 @@ from .parabolic import (
     LambdaCharacter,
     ThetaStableAlgebra,
     _as_lambda,
+    _cone,
     _m_of,
     centred_string,
     degree_twice,
     inf_char_aq,
-    k_types_bounded,
     lowest_k_type,
     recentred,
 )
@@ -318,13 +318,13 @@ def verify_k_type(d: LiftDatum) -> bool:
 
 def _min_degree_check(d: LiftDatum, bound: int):
     """(verdict, doubled degree of the source lowest K-type, doubled
-    degrees of the cone)."""
+    degrees of the cone, in no stated order)."""
     base = degree_twice(
         lowest_k_type(d.source_q, d.source_lambda), d.chi.alpha1, d.target_signature
     )
     degrees = [
         degree_twice(w, d.chi.alpha1, d.target_signature)
-        for w in k_types_bounded(d.source_q, d.source_lambda, bound)
+        for w in _cone(d.source_q, d.source_lambda, bound)
     ]
     return all(v >= base for v in degrees), base, degrees
 

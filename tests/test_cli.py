@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 from aql.cli import run
+from aql.parabolic import ThetaStableAlgebra, k_types_bounded
 from aql.partitions import enumerate_compatible
+from aql.thetalift import build_source
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(resources.files("aql").joinpath("schema.json").read_text())
@@ -347,8 +349,16 @@ BIG_CONE = ("lift", "verify", "--blocks", "3,0;0,3;3,0;0,3;1,1", "--r0", "5")
 
 def test_oversized_cone_exits_two_before_building(capsys, monkeypatch):
     """C(5+36, 36) = 749,398 cone points exceed MAX_CONE, from the flag and
-    from the environment alike."""
+    from the environment alike, with the message of `k_types_bounded` on
+    the same source and before any root weight is built."""
+    def untouchable(*args):
+        raise AssertionError("root_of called past the cone cap")
+
+    monkeypatch.setattr("aql.parabolic.root_of", untouchable)
     monkeypatch.delenv("AQL_BOUND", raising=False)
+    source = build_source(ThetaStableAlgebra(((3, 0), (0, 3), (3, 0), (0, 3), (1, 1))), None, 5)
+    with pytest.raises(ValueError) as error:
+        k_types_bounded(source.source_q, source.source_lambda, 5)
     for extra, env in ((("--bound", "5"), None), ((), "5")):
         if env is not None:
             monkeypatch.setenv("AQL_BOUND", env)
@@ -357,6 +367,7 @@ def test_oversized_cone_exits_two_before_building(capsys, monkeypatch):
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err.startswith("error: cone at bound 5 over 36 roots") and err.count("\n") == 1
+        assert err == f"error: {error.value}\n"
 
 
 def test_oversized_cone_is_refused_before_its_roots_are_listed(capsys, monkeypatch):

@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aql.halfint import CharMultiset, Weight, exact_int, half, multiset_of
 from aql.parabolic import (
@@ -21,6 +22,7 @@ from aql.parabolic import (
     blocks_from_dominant,
     cohomological_degree,
     degree,
+    degree_twice,
     delta_u_p,
     enumerate_packet,
     enumerate_standard,
@@ -29,6 +31,7 @@ from aql.parabolic import (
     lowest_k_type,
     packet_size,
     partitions_from_blocks,
+    recentred,
     root_of,
     two_rho_up,
     _rows,
@@ -621,3 +624,21 @@ def test_degree_examples():
 
 def test_degree_defaults_to_own_signature():
     assert degree(Weight.of([3], []), 1, (1, 0)) == degree(Weight.of([3], []), 1)
+
+
+coords = st.lists(st.integers(min_value=-60, max_value=60), max_size=8).map(tuple)
+
+
+@given(
+    coords,
+    coords,
+    st.integers(min_value=-30, max_value=30),
+    st.none() | st.tuples(st.integers(0, MAX_FRAME), st.integers(0, MAX_FRAME)),
+)
+def test_degree_twice_sums_the_recentred_coordinates(xs, ys, chi1, frame):
+    """`degree_twice` reads the degree off the coordinates; it equals the
+    sum of the absolute `recentred` coordinates, and `degree` halves it."""
+    w = Weight(xs, ys)
+    rx, ry = recentred(w, chi1, frame)
+    assert degree_twice(w, chi1, frame) == sum(map(abs, rx)) + sum(map(abs, ry))
+    assert degree(w, chi1, frame) == half(degree_twice(w, chi1, frame))
