@@ -11,7 +11,7 @@ and chains have at most floor(log2 n) + 1 steps.  Certificates are
 therefore reproducible byte for byte.  Inverting the walk generates the
 convergent algebras of a frame forward from those of smaller frames, with
 no search (`enumerate_convergent`, and the convergence columns of
-`atlas`).
+`atlas`).  A `lax` flag that is not a bool raises TypeError at the call.
 """
 
 from __future__ import annotations
@@ -77,6 +77,11 @@ def _stable_ok(lower: Tuple[int, int], upper: Tuple[int, int]) -> bool:
     return sum(lower) <= min(upper)
 
 
+def _check_lax(lax) -> None:
+    if type(lax) is not bool:
+        raise TypeError(f"lax must be a bool, got {lax!r}")
+
+
 def is_convergent(
     q: ThetaStableAlgebra, lax: bool = False
 ) -> Tuple[bool, Optional[ConvergenceCertificate]]:
@@ -87,6 +92,7 @@ def is_convergent(
     range is waived on the final step and on the step out of the base.
     Each step finds in one pass over the blocks whether the Levi is
     compact and which block, if any, holds more than half the slots."""
+    _check_lax(lax)
     q = q.canonicalize()
     steps = []
     while True:
@@ -148,13 +154,11 @@ def _cuts(blocks: Tuple[Tuple[int, int], ...]):
     yield blocks, (), ca, cb
 
 
-def _lift_tables(a: int, b: int, lax: bool):
+def _lift_tables(a: int, b: int, lax: bool) -> dict:
     """The noncompact convergent algebras of U(a, b), generated forward
-    from their predecessors with no search, as (top, inner): top maps the
-    blocks of each to (predecessor blocks, r0, signature chain) in
-    construction order, and inner[(a', b')] is the same table of a smaller
-    frame as a step below the top sees it (in lax mode the top step also
-    waives the stable range).
+    from their predecessors with no search: a dict from the blocks of each,
+    in construction order, to its signature chain (equal chains share one
+    tuple).
 
     The walk back from q cuts out the block r0 holding more than half the
     slots and reflects the blocks after it; so q comes back from its
@@ -163,9 +167,9 @@ def _lift_tables(a: int, b: int, lax: bool):
     a block boundary or inside one pure block, reflecting the suffix back
     and putting between the parts the block that fills (a, b).  A result
     is kept when it is canonical and not all-pure; each q arises once.
-    Equal chains share one tuple."""
-    inner = {}
-    chains = {}
+    A smaller frame is one dict, its compact bases (one-element chains)
+    first; lax mode waives the stable range for those and on the top step."""
+    frames, chains = {}, {}
 
     def table(a: int, b: int, top: bool) -> dict:
         out = {}
@@ -173,65 +177,51 @@ def _lift_tables(a: int, b: int, lax: bool):
         for n1 in range(n):
             for a1 in range(n1 + 1):
                 lower = (a1, n1 - a1)
-                if not _growth_ok(lower, (a, b)):
-                    continue
                 stable = _stable_ok(lower, (a, b))
-                sources = []
-                if stable or lax:  # lax mode waives the step out of a compact base
-                    base = chains.setdefault((lower,), (lower,))
-                    sources.append((True, ((p, base) for p in _compact_bases(*lower))))
-                if stable or (lax and top):
-                    if lower not in inner:
-                        inner[lower] = table(*lower, False)
-                    sources.append((False, ((p, e[2]) for p, e in inner[lower].items())))
-                for compact, preds in sources:
-                    for p, p_chain in preds:
-                        chain = p_chain + ((a, b),)
-                        chain = chains.setdefault(chain, chain)
-                        for head, tail, ca, cb in _cuts(p):
-                            # the suffix reflected back holds (b1 - cb, a1 - ca) of p's slots
-                            x, y = a - ca - (n1 - a1 - cb), b - cb - (a1 - ca)
-                            if x < 0 or y < 0 or (compact and not (x and y)):
-                                continue
-                            q = head + ((x, y),) + tuple([(bi, ai) for ai, bi in tail])
-                            if _merge_pure(q) == q:
-                                out[q] = (p, len(head) + 1, chain)
+                if not _growth_ok(lower, (a, b)) or not (stable or lax):
+                    continue
+                if lower not in frames:
+                    frames[lower] = frame = dict.fromkeys(_compact_bases(*lower), (lower,))
+                    frame.update(table(*lower, False))
+                for p, p_chain in frames[lower].items():
+                    compact = len(p_chain) == 1
+                    if not (compact or stable or top):
+                        break  # past the compact bases, off the top, lax mode waives nothing
+                    chain = p_chain + ((a, b),)
+                    chain = chains.setdefault(chain, chain)
+                    for head, tail, ca, cb in _cuts(p):
+                        # the suffix reflected back holds (b1 - cb, a1 - ca) of p's slots
+                        x, y = a - ca - (n1 - a1 - cb), b - cb - (a1 - ca)
+                        if x < 0 or y < 0 or (compact and not (x and y)):
+                            continue
+                        q = head + ((x, y),) + tuple([(bi, ai) for ai, bi in tail])
+                        if _merge_pure(q) == q:
+                            out[q] = chain
         return out
 
-    return table(a, b, True), inner
+    return table(a, b, True)
 
 
 def enumerate_convergent(a: int, b: int, lax: bool = False):
     """Every convergent canonical algebra of U(a, b) with its certificate,
-    as (q, certificate), generated forward from the predecessors and not
-    by filtering: first the compact bases (in `_compact_bases` order), then
-    the others by predecessor frame (a'+b', then a'), by predecessor (the
-    frame's compact bases, then its other convergent algebras in this
-    order) and by cut, left to right.  Frames above MAX_FRAME are allowed;
-    negative sides raise FrameError at the call."""
+    as (q, certificate), generated forward and not by filtering: first the
+    compact bases (in `_compact_bases` order), then the others by
+    predecessor frame (a'+b', then a'), by predecessor (the frame's compact
+    bases, then its other convergent algebras in this order) and by cut,
+    left to right, with the certificate of `is_convergent`.  Frames above
+    MAX_FRAME are allowed; negative sides raise FrameError at the call."""
+    _check_lax(lax)
     _check_frame(a, b, capped=False)
-    top, inner = _lift_tables(a, b, lax)
-
-    def certificate(blocks, entry) -> ConvergenceCertificate:
-        steps = []
-        while True:
-            pred, r0, chain = entry
-            steps.append(ChainStep(chain[-1], ThetaStableAlgebra._trusted(blocks, chain[-1]), r0))
-            if len(chain) == 2:  # the predecessor is the compact base
-                break
-            blocks, entry = pred, inner[chain[-2]][pred]
-        base = ThetaStableAlgebra._trusted(pred, chain[0])
-        steps.append(ChainStep(chain[0], base, None))
-        return ConvergenceCertificate(steps=tuple(reversed(steps)), lax=lax)
+    table = _lift_tables(a, b, lax)
 
     def generate():
         signature = (a, b)
         for blocks in _compact_bases(a, b):
             q = ThetaStableAlgebra._trusted(blocks, signature)
             yield q, ConvergenceCertificate(steps=(ChainStep(signature, q, None),), lax=lax)
-        for blocks, entry in top.items():
-            cert = certificate(blocks, entry)
-            yield cert.steps[-1].blocks, cert
+        for blocks in table:
+            q = ThetaStableAlgebra._trusted(blocks, signature)
+            yield q, is_convergent(q, lax)[1]
 
     return generate()
 
@@ -329,10 +319,11 @@ def atlas(a: int, b: int, lax: bool = False) -> List[AtlasRow]:
 
     The degenerate (0,0) frame yields an empty table.
     """
+    _check_lax(lax)
     if exact_int(a) == exact_int(b) == 0:
         return []
     standard = _standard(a, b)  # checks the frame before anything is built
-    lifted = _lift_tables(a, b, lax)[0]
+    lifted = _lift_tables(a, b, lax)
     compact = ((a, b),)  # the chain of every compact row
     rows = []
     shared = {}  # one tuple per distinct stripped row, for every row
@@ -354,12 +345,9 @@ def atlas(a: int, b: int, lax: bool = False) -> List[AtlasRow]:
         sizes = tuple(sorted(q.levi_sizes))
         if sizes not in packets:
             packets[sizes] = packet_size(q)
-        if alpha == q_beta:  # no x-row's block has a y-slot: the Levi is compact
-            ok, chain = True, compact
-        else:
-            entry = lifted.get(q.blocks)
-            ok, chain = (True, entry[2]) if entry else (False, ())
-        rows.append(
-            AtlasRow(alpha_t, beta_t, q, R_plus + R_minus, R_plus, R_minus, packets[sizes], ok, chain)
-        )
+        # alpha == beta: no x-row's block has a y-slot, so the Levi is compact
+        chain = compact if alpha == q_beta else lifted.get(q.blocks, ())
+        rows.append(AtlasRow(
+            alpha_t, beta_t, q, R_plus + R_minus, R_plus, R_minus, packets[sizes], bool(chain), chain
+        ))
     return rows

@@ -357,15 +357,17 @@ def k_types_bounded(q: ThetaStableAlgebra, lam=None, bound: int = 0) -> List[Wei
     """The cone lambda + 2rho(u cap p) + sum n_tau tau truncated at total
     coefficient <= bound, sorted.  A superset of the actual K-types, which
     is all the minimal-degree search needs; that check walks the unordered
-    `_cone`, and only this function sorts.  Before anything is built, a
-    cone of more than MAX_CONE points (counted as C(bound + |roots|,
-    |roots|)), or whose points and roots (none are listed at bound 0) hold
-    more than MAX_CONE * MAX_FRAME coordinates, raises ValueError."""
-    return sorted(_cone(q, lam, bound))
+    `_cone`, and only this function sorts.  Before any root or point past
+    the lowest K-type is built, a cone of more than MAX_CONE points
+    (counted as C(bound + |roots|, |roots|)), or whose points and roots
+    (none are listed at bound 0) hold more than MAX_CONE * MAX_FRAME
+    coordinates, raises ValueError."""
+    return sorted(_cone(q, lowest_k_type(q, lam), bound))
 
 
-def _cone(q: ThetaStableAlgebra, lam, bound: int) -> Set[Weight]:
-    """The point set of `k_types_bounded`, unordered, after the same cap."""
+def _cone(q: ThetaStableAlgebra, base: Weight, bound: int) -> Set[Weight]:
+    """The point set of `k_types_bounded`, unordered, after the same cap,
+    from the lowest K-type `base` the caller has built."""
     if exact_int(bound) < 0:
         raise ValueError("bound must be non-negative")
     n_roots = cohomological_degree(q)[0] if bound else 0
@@ -378,7 +380,6 @@ def _cone(q: ThetaStableAlgebra, lam, bound: int) -> Set[Weight]:
             f"cone at bound {bound} over {n_roots} roots has more than {limit}; lower the bound"
         )
     a, b = q.signature
-    base = lowest_k_type(q, lam)
     roots = [root_of(c, a, b) for c in delta_u_p(q)] if bound else []
     seen = {base}
     frontier = [base]

@@ -70,8 +70,9 @@ def conjugate(p: Partition) -> Partition:
 
 
 def complement(p: Partition, a: int, b: int) -> Partition:
-    """Complement of p inside a x b, read rotated by half a turn."""
-    if not p.fits(a, b):
+    """Complement of p inside a x b, read rotated by half a turn.  Frame
+    sides that are not ints (bools and floats too) raise TypeError."""
+    if not p.fits(exact_int(a), exact_int(b)):
         raise FrameError(f"{p} not contained in frame {a}x{b}")
     return Partition(b - p.part(a - i) for i in range(a))
 

@@ -319,12 +319,10 @@ def verify_k_type(d: LiftDatum) -> bool:
 def _min_degree_check(d: LiftDatum, bound: int):
     """(verdict, doubled degree of the source lowest K-type, doubled
     degrees of the cone, in no stated order)."""
-    base = degree_twice(
-        lowest_k_type(d.source_q, d.source_lambda), d.chi.alpha1, d.target_signature
-    )
+    low = lowest_k_type(d.source_q, d.source_lambda)
+    base = degree_twice(low, d.chi.alpha1, d.target_signature)
     degrees = [
-        degree_twice(w, d.chi.alpha1, d.target_signature)
-        for w in _cone(d.source_q, d.source_lambda, bound)
+        degree_twice(w, d.chi.alpha1, d.target_signature) for w in _cone(d.source_q, low, bound)
     ]
     return all(v >= base for v in degrees), base, degrees
 

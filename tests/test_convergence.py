@@ -8,6 +8,7 @@ from aql.convergence import (
     AtlasRow,
     ChainStep,
     ConvergenceCertificate,
+    _lift_tables,
     atlas,
     enumerate_convergent,
     is_convergent,
@@ -232,19 +233,25 @@ def test_li_family_one_step_chains():
 def test_enumerate_convergent_matches_the_filtered_standard(lax):
     """The forward generation yields, once each, exactly the algebras of
     `_standard` that `is_convergent` accepts, with the same certificate,
-    for every frame with a+b <= 12 (262,031 algebras filtered)."""
+    for every frame with a+b <= 12 (262,031 algebras filtered); the forward
+    table holds exactly the noncompact ones, each with its certificate's
+    signature chain."""
     filtered = 0
     for n in range(13):
         for a in range(n + 1):
             got = [(q.blocks, cert.to_json()) for q, cert in enumerate_convergent(a, n - a, lax)]
             want = []
+            chains = {}
             for q, _, _ in _standard(a, n - a):
                 filtered += n > 0
                 ok, cert = is_convergent(q, lax)
                 if ok:
                     want.append((q.blocks, cert.to_json()))
+                    if not q.has_compact_levi:
+                        chains[q.blocks] = tuple(cert.signature_chain())
             assert len(got) == len(dict(got)), (a, n - a)
             assert dict(got) == dict(want), (a, n - a)
+            assert _lift_tables(a, n - a, lax) == chains, (a, n - a)
     assert filtered == 262_031
 
 
@@ -280,6 +287,36 @@ def test_enumerate_convergent_runs_past_max_frame():
     for a, b in ((-1, 2), (2, -1)):
         with pytest.raises(FrameError, match="non-negative"):
             enumerate_convergent(a, b)
+
+
+NOT_BOOLS = [0, 1, "no", None, 1.0]
+
+
+@pytest.mark.parametrize("lax", NOT_BOOLS)
+def test_is_convergent_rejects_a_lax_that_is_not_a_bool(lax):
+    for q in (alg((1, 0), (0, 1)), alg((1, 1), (1, 0))):
+        with pytest.raises(TypeError, match="lax must be a bool"):
+            is_convergent(q, lax)
+
+
+def untouchable(*args):
+    raise AssertionError("work started before the lax check")
+
+
+@pytest.mark.parametrize("lax", NOT_BOOLS)
+def test_enumerate_convergent_rejects_a_lax_that_is_not_a_bool(monkeypatch, lax):
+    monkeypatch.setattr("aql.convergence._lift_tables", untouchable)
+    for a, b in ((0, 0), (1, 1), (-1, 2)):
+        with pytest.raises(TypeError, match="lax must be a bool"):
+            enumerate_convergent(a, b, lax)
+
+
+@pytest.mark.parametrize("lax", NOT_BOOLS)
+def test_atlas_rejects_a_lax_that_is_not_a_bool(monkeypatch, lax):
+    monkeypatch.setattr("aql.convergence._standard", untouchable)
+    for a, b in ((0, 0), (1, 1)):
+        with pytest.raises(TypeError, match="lax must be a bool"):
+            atlas(a, b, lax)
 
 
 def test_atlas_examples():

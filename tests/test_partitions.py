@@ -59,6 +59,12 @@ def test_complement_examples():
         complement(Partition([4]), 2, 3)
 
 
+def test_complement_refuses_frame_sides_that_are_not_ints():
+    for a, b in ((True, 2), (1, False), (1.0, 2), (1, 2.0)):
+        with pytest.raises(TypeError, match="expected an int"):
+            complement(Partition([1]), a, b)
+
+
 def test_complement_involution():
     for a in range(5):
         for b in range(5):
