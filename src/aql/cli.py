@@ -133,6 +133,7 @@ def cmd_lift_verify(args) -> int:
     q = ThetaStableAlgebra.parse(args.blocks)
     lam = _parse_lambda(getattr(args, "lambda"), q)
     report = full_report(q, lam, args.r0, _parse_chi(args.chi), _default_bound(args))
+    args.counts.update(cone_size=report.details["min_degree"]["cone_size"], bound=report.bound)
     if args.json:
         _emit(report.to_json())
     else:
@@ -185,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--meta",
         action="store_true",
         help="after the command, write run metadata (exit code, elapsed time,"
-        " atlas rows) as one JSON line on stderr",
+        " atlas rows, lift verify cone size and bound) as one JSON line on stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -355,19 +355,16 @@ MAX_CONE = 200_000
 
 def k_types_bounded(q: ThetaStableAlgebra, lam=None, bound: int = 0) -> List[Weight]:
     """The cone lambda + 2rho(u cap p) + sum n_tau tau truncated at total
-    coefficient <= bound, sorted.  A superset of the actual K-types, which
-    is all the minimal-degree search needs; that check walks the unordered
-    `_cone`, and only this function sorts.  Before any root or point past
-    the lowest K-type is built, a cone of more than MAX_CONE points
-    (counted as C(bound + |roots|, |roots|)), or whose points and roots
-    (none are listed at bound 0) hold more than MAX_CONE * MAX_FRAME
-    coordinates, raises ValueError."""
+    coefficient <= bound, sorted: a superset of the actual K-types, enough for
+    the minimal-degree search, which walks the same `_cone` (sparse steps) unsorted."""
     return sorted(_cone(q, lowest_k_type(q, lam), bound))
 
 
 def _cone(q: ThetaStableAlgebra, base: Weight, bound: int) -> Set[Weight]:
-    """The point set of `k_types_bounded`, unordered, after the same cap,
-    from the lowest K-type `base` the caller has built."""
+    """The points of `k_types_bounded`, unordered, from the lowest K-type
+    `base`; root (sign, i, j) is the step 2*sign at x_i, -2*sign at y_{b+1-j}.
+    Before any root is listed, a cone over MAX_CONE points (C(bound + |roots|,
+    |roots|)) or MAX_CONE * MAX_FRAME coordinates (a+b per point and root) raises ValueError."""
     if exact_int(bound) < 0:
         raise ValueError("bound must be non-negative")
     n_roots = cohomological_degree(q)[0] if bound else 0
@@ -379,15 +376,17 @@ def _cone(q: ThetaStableAlgebra, base: Weight, bound: int) -> Set[Weight]:
         raise ValueError(
             f"cone at bound {bound} over {n_roots} roots has more than {limit}; lower the bound"
         )
-    a, b = q.signature
-    roots = [root_of(c, a, b) for c in delta_u_p(q)] if bound else []
+    b = q.signature[1]
+    moves = [(i - 1, b - j, 2 * sign) for sign, i, j in delta_u_p(q)] if bound else []
     seen = {base}
     frontier = [base]
-    for _ in range(bound if roots else 0):  # no roots: the base point is the cone
+    for _ in range(bound if moves else 0):  # no roots: the base point is the cone
         nxt = []
         for w in frontier:
-            for tau in roots:
-                cand = w + tau
+            for i, j, d in moves:
+                xs, ys = list(w.x), list(w.y)
+                xs[i], ys[j] = xs[i] + d, ys[j] - d
+                cand = Weight(tuple(xs), tuple(ys))
                 if cand not in seen:
                     seen.add(cand)
                     nxt.append(cand)

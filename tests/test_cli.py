@@ -344,17 +344,40 @@ def test_meta_counts_the_atlas_rows(capsys, tmp_path):
     assert code == 0 and "rows" not in json.loads(err)
 
 
+def test_meta_counts_the_lift_cone(capsys, monkeypatch):
+    """A lift verify run's meta line gives the cone size of its --json
+    report and the bound it ran at; stdout and the exit code are those of
+    the run without --meta, and no other command writes either key."""
+    monkeypatch.delenv("AQL_BOUND", raising=False)
+    for extra in ((), ("--bound", "1"), ("--bound", "0"), ("--lambda", "1,0,-1")):
+        argv = ("lift", "verify", "--blocks", "2,1;3,3;1,2", *extra)
+        _, report, _ = run_cli(capsys, *argv, "--json")
+        report = json.loads(report)
+        for fmt in ((), ("--json",)):
+            code, plain, _ = run_cli(capsys, *argv, *fmt)
+            code_meta, out, err = run_cli(capsys, "--meta", *argv, *fmt)
+            assert code == code_meta and out == plain
+            meta = json.loads(err.splitlines()[-1])
+            assert meta["cone_size"] == report["details"]["min_degree"]["cone_size"]
+            assert meta["bound"] == report["bound"]
+    assert report["details"]["min_degree"]["cone_size"] > 1
+    for argv in (("aq", "--blocks", "1,1"), ("atlas", "--a", "2", "--b", "1", "--format", "tsv")):
+        code, _, err = run_cli(capsys, "--meta", *argv)
+        meta = json.loads(err.splitlines()[-1])
+        assert code == 0 and "cone_size" not in meta and "bound" not in meta
+
+
 BIG_CONE = ("lift", "verify", "--blocks", "3,0;0,3;3,0;0,3;1,1", "--r0", "5")
 
 
 def test_oversized_cone_exits_two_before_building(capsys, monkeypatch):
     """C(5+36, 36) = 749,398 cone points exceed MAX_CONE, from the flag and
     from the environment alike, with the message of `k_types_bounded` on
-    the same source and before any root weight is built."""
-    def untouchable(*args):
-        raise AssertionError("root_of called past the cone cap")
+    the same source and before any root is listed."""
+    def untouchable(q):
+        raise AssertionError("delta_u_p called past the cone cap")
 
-    monkeypatch.setattr("aql.parabolic.root_of", untouchable)
+    monkeypatch.setattr("aql.parabolic.delta_u_p", untouchable)
     monkeypatch.delenv("AQL_BOUND", raising=False)
     source = build_source(ThetaStableAlgebra(((3, 0), (0, 3), (3, 0), (0, 3), (1, 1))), None, 5)
     with pytest.raises(ValueError) as error:
