@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations_with_replacement, groupby
 from math import comb
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .halfint import CharMultiset, Frozen, HalfInt, Weight, exact_int, half
 from .partitions import FrameError, FramedPair, IncompatiblePairError, Partition
@@ -356,15 +356,16 @@ MAX_CONE = 200_000
 def k_types_bounded(q: ThetaStableAlgebra, lam=None, bound: int = 0) -> List[Weight]:
     """The cone lambda + 2rho(u cap p) + sum n_tau tau truncated at total
     coefficient <= bound, sorted: a superset of the actual K-types, enough for
-    the minimal-degree search, which walks the same `_cone` (sparse steps) unsorted."""
-    return sorted(_cone(q, lowest_k_type(q, lam), bound))
+    the minimal-degree search, which reads the degrees `_cone` carries per step."""
+    return sorted(_cone(q, lowest_k_type(q, lam), bound, 0))
 
 
-def _cone(q: ThetaStableAlgebra, base: Weight, bound: int) -> Set[Weight]:
-    """The points of `k_types_bounded`, unordered, from the lowest K-type
-    `base`; root (sign, i, j) is the step 2*sign at x_i, -2*sign at y_{b+1-j}.
-    Before any root is listed, a cone over MAX_CONE points (C(bound + |roots|,
-    |roots|)) or MAX_CONE * MAX_FRAME coordinates (a+b per point and root) raises ValueError."""
+def _cone(q: ThetaStableAlgebra, base: Weight, bound: int, chi1_alpha: int, frame=None) -> dict:
+    """The points of `k_types_bounded`, unordered, from the lowest K-type `base`,
+    each mapped to `degree_twice(point, chi1_alpha, frame)`: root (sign, i, j) is
+    the step 2*sign at x_i, -2*sign at y_{b+1-j}, so a point's degree is its parent's
+    plus two changes of |coordinate - centre|.  A cone over MAX_CONE points or
+    MAX_CONE * MAX_FRAME coordinates raises ValueError before any root is listed."""
     if exact_int(bound) < 0:
         raise ValueError("bound must be non-negative")
     n_roots = cohomological_degree(q)[0] if bound else 0
@@ -378,18 +379,21 @@ def _cone(q: ThetaStableAlgebra, base: Weight, bound: int) -> Set[Weight]:
         )
     b = q.signature[1]
     moves = [(i - 1, b - j, 2 * sign) for sign, i, j in delta_u_p(q)] if bound else []
-    seen = {base}
-    frontier = [base]
+    cx, cy = _centres(base, chi1_alpha, frame)
+    seen = {base: degree_twice(base, chi1_alpha, frame)}
+    frontier = list(seen.items())
     for _ in range(bound if moves else 0):  # no roots: the base point is the cone
         nxt = []
-        for w in frontier:
+        for w, deg in frontier:
             for i, j, d in moves:
                 xs, ys = list(w.x), list(w.y)
-                xs[i], ys[j] = xs[i] + d, ys[j] - d
+                xi, yj = xs[i], ys[j]
+                xs[i], ys[j] = xi + d, yj - d
                 cand = Weight(tuple(xs), tuple(ys))
                 if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
+                    c_deg = deg + abs(xi + d - cx) - abs(xi - cx) + abs(yj - d - cy) - abs(yj - cy)
+                    seen[cand] = c_deg
+                    nxt.append((cand, c_deg))
         frontier = nxt
     return seen
 

@@ -39,7 +39,6 @@ from .parabolic import (
     _cone,
     _m_of,
     centred_string,
-    degree_twice,
     inf_char_aq,
     lowest_k_type,
     recentred,
@@ -317,13 +316,11 @@ def verify_k_type(d: LiftDatum) -> bool:
 
 
 def _min_degree_check(d: LiftDatum, bound: int):
-    """(verdict, doubled degree of the source lowest K-type, doubled
-    degrees of the cone, in no stated order)."""
+    """(verdict, doubled degree of the source lowest K-type, doubled degrees
+    of the cone in no stated order), each carried by `_cone` from its step."""
     low = lowest_k_type(d.source_q, d.source_lambda)
-    base = degree_twice(low, d.chi.alpha1, d.target_signature)
-    degrees = [
-        degree_twice(w, d.chi.alpha1, d.target_signature) for w in _cone(d.source_q, low, bound)
-    ]
+    cone = _cone(d.source_q, low, bound, d.chi.alpha1, d.target_signature)
+    base, degrees = cone[low], list(cone.values())
     return all(v >= base for v in degrees), base, degrees
 
 

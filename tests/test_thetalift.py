@@ -9,6 +9,7 @@ from aql.parabolic import (
     LambdaCharacter,
     ThetaStableAlgebra,
     _cone,
+    degree_twice,
     delta_u_p,
     enumerate_standard,
     k_types_bounded,
@@ -270,6 +271,25 @@ def test_min_degree_check_matches_the_sorted_oracle():
     assert data == 15_720
 
 
+def test_min_degree_check_matches_the_oracle_where_it_fails():
+    """The failing branch: every datum of the a+b <= 4 family with its
+    target frame moved to U(6,0) or U(0,6), which recentres the degree so
+    that some cone point lies below the base.  At bounds 0-3 the verdict,
+    base degree and degree multiset equal the oracle's, and 700 of the 7,600
+    verdicts at bound 3 are False.  About 1.5 s on 2 CPUs."""
+    verdicts = {False: 0, True: 0}
+    for q, lam, r0, chi in lift_data(4):
+        d = build_source(q, lam, r0, chi)
+        for frame in ([(6, 0)], [(0, 6)]):
+            moved = tampered(d, target_q=ThetaStableAlgebra(frame))
+            for bound in range(4):
+                ok, base, degrees = _min_degree_check(moved, bound)
+                want_ok, want_base, want = oracle_min_degree(moved, bound)
+                assert (ok, base, sorted(degrees)) == (want_ok, want_base, sorted(want))
+                verdicts[ok] += bound == 3
+    assert verdicts == {False: 700, True: 6900}
+
+
 @pytest.mark.parametrize(
     "blocks, r0, bound",
     [(((3, 0), (0, 3), (3, 0), (0, 3), (1, 1)), 5, 5), (((200, 0), (0, 200), (1, 1)), 3, 1)],
@@ -295,8 +315,10 @@ def test_cone_of_every_unmerged_source_matches_dense_root_sums():
     """The sparse steps of `_cone` index x- and y-coordinates on the split
     block lists that `build_source` makes too: for every source of the
     a+b <= 6 family (lambda in [-1, 1], every maximal r0) and bounds 0-3,
-    the cone is the base plus the sum, by `Weight.__add__`, of every
-    multiset of at most `bound` dense `root_of` roots.  About 0.6 s on 2 CPUs."""
+    the cone's points are the base plus the sum, by `Weight.__add__`, of
+    every multiset of at most `bound` dense `root_of` roots, and the degree
+    each point carries from its step is `degree_twice` of the point, at two
+    centre pairs.  About 1 s on 2 CPUs."""
     sources = set()
     for n in range(1, 7):
         for a in range(n + 1):
@@ -319,7 +341,12 @@ def test_cone_of_every_unmerged_source_matches_dense_root_sums():
                     for tau in combo:
                         w = w + tau
                     dense.add(w)
-            assert _cone(source_q, base, bound) == dense, (source_q, source_lambda, bound)
+            for chi1_alpha, frame in ((0, None), (3, (a + 2, b + 1))):
+                cone = _cone(source_q, base, bound, chi1_alpha, frame)
+                assert cone.keys() == dense, (source_q, source_lambda, bound)
+                assert all(
+                    v == degree_twice(w, chi1_alpha, frame) for w, v in cone.items()
+                ), (source_q, source_lambda, bound, chi1_alpha, frame)
     assert (len(sources), split) == (2039, 386)
 
 
