@@ -167,11 +167,10 @@ def cmd_atlas(args) -> int:
         text = json.dumps([r.to_json() for r in rows], indent=2) + "\n"
     if args.out:
         try:
-            fh = open(args.out, "w", encoding="utf-8")
-        except OSError as exc:  # an unwritable path is bad input, not a crash
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # an unwritable path or a failed write is bad input, not a crash
             raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
-        with fh:
-            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0

@@ -20,9 +20,9 @@ from typing import List, Optional, Tuple
 
 from .halfint import Frozen, exact_int
 from .parabolic import (
-    ThetaStableAlgebra, _check_frame, _merge_pure, _pairs_text, _standard, packet_size,
+    ThetaStableAlgebra, _check_frame, _merge_pure, _pairs_text, _source_algebra, _standard,
+    packet_size,
 )
-from .thetalift import _source_algebra
 
 
 def predecessor(q: ThetaStableAlgebra, r0: int) -> ThetaStableAlgebra:

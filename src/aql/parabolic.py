@@ -142,6 +142,15 @@ class ThetaStableAlgebra(Frozen):
         return f"({self.unparse()})"
 
 
+def _source_algebra(q: ThetaStableAlgebra, r0: int) -> ThetaStableAlgebra:
+    """The lift source's blocks: block r0 removed, later ones reflected, unmerged."""
+    if not 1 <= exact_int(r0) <= q.r:
+        raise ValueError(f"r0={r0} out of range 1..{q.r}")
+    blocks = q.blocks[: r0 - 1] + tuple([(bi, ai) for ai, bi in q.blocks[r0:]])
+    signature = (sum(ai for ai, _ in blocks), sum(bi for _, bi in blocks))
+    return ThetaStableAlgebra._trusted(blocks, signature)
+
+
 class LambdaCharacter(Frozen):
     """Differential of a unitary character of the Levi: one integer per block."""
 
@@ -289,16 +298,7 @@ def two_rho_up(q: ThetaStableAlgebra) -> Weight:
     other kind in a later block and loses 2 for each one in an earlier
     block.
     """
-    a, b = q.signature
-    xs: List[int] = []
-    ys: List[int] = []
-    a_before = b_before = 0
-    for ai, bi in q.blocks:
-        xs += [2 * (b - bi - 2 * b_before)] * ai
-        ys += [2 * (a - ai - 2 * a_before)] * bi
-        a_before += ai
-        b_before += bi
-    return Weight(tuple(xs), tuple(ys))
+    return lowest_k_type(q)
 
 
 def m_coeffs(q: ThetaStableAlgebra) -> Tuple[int, ...]:
@@ -334,20 +334,20 @@ def inf_char_aq(q: ThetaStableAlgebra, lam=None) -> CharMultiset:
     return CharMultiset(twice=entries)
 
 
-def expand_lambda(q: ThetaStableAlgebra, lam=None) -> Weight:
-    """Coordinate vector of a per-block character (constant on each block)."""
+def lowest_k_type(q: ThetaStableAlgebra, lam=None) -> Weight:
+    """Highest weight of the K-type generating the module: lambda + 2rho(u cap p),
+    in one pass: each slot of block i holds 2*lambda_i plus its `two_rho_up` entry."""
     lam = _as_lambda(q, lam)
+    a, b = q.signature
     xs: List[int] = []
     ys: List[int] = []
-    for (ai, bi), v in zip(q.blocks, lam.values):
-        xs.extend([2 * v] * ai)
-        ys.extend([2 * v] * bi)
+    a_before = b_before = 0
+    for (ai, bi), lam_i in zip(q.blocks, lam.values):
+        xs += [2 * (lam_i + b - bi - 2 * b_before)] * ai
+        ys += [2 * (lam_i + a - ai - 2 * a_before)] * bi
+        a_before += ai
+        b_before += bi
     return Weight(tuple(xs), tuple(ys))
-
-
-def lowest_k_type(q: ThetaStableAlgebra, lam=None) -> Weight:
-    """Highest weight of the K-type generating the module: lambda + 2rho(u cap p)."""
-    return expand_lambda(q, lam) + two_rho_up(q)
 
 
 MAX_CONE = 200_000

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .halfint import CharMultiset, Frozen, HalfInt, Weight, exact_int, format_twice, half, shift
+from .halfint import CharMultiset, Frozen, HalfInt, Weight, format_twice, half, shift
 from .arthur import (
     ChiPair,
     ParityError,
@@ -36,8 +36,9 @@ from .parabolic import (
     LambdaCharacter,
     ThetaStableAlgebra,
     _as_lambda,
+    _centres,
     _cone,
-    _m_of,
+    _source_algebra,
     centred_string,
     inf_char_aq,
     lowest_k_type,
@@ -158,15 +159,6 @@ def _resolve_chi(chi, n: int, n_prime: int) -> ChiPair:
     return ChiPair(a1, a2, n, n_prime)
 
 
-def _source_algebra(q: ThetaStableAlgebra, r0: int) -> ThetaStableAlgebra:
-    """Block r0 removed and the later blocks reflected, left unmerged."""
-    if not 1 <= exact_int(r0) <= q.r:
-        raise ValueError(f"r0={r0} out of range 1..{q.r}")
-    blocks = q.blocks[: r0 - 1] + tuple([(bi, ai) for ai, bi in q.blocks[r0:]])
-    signature = (sum(ai for ai, _ in blocks), sum(bi for _, bi in blocks))
-    return ThetaStableAlgebra._trusted(blocks, signature)
-
-
 def build_source(
     q: ThetaStableAlgebra,
     lam=None,
@@ -187,12 +179,17 @@ def build_source(
             raise ValueError("empty algebra has no distinguished block")
         r0 = choices[0]
     source_q = _source_algebra(q, r0)
-    sizes = q.levi_sizes
     n = q.total
-    n_r0 = sizes[r0 - 1]
-    n_prime = n - n_r0
+    n_prime = source_q.total
+    n_r0 = n - n_prime
     chi = _resolve_chi(chi, n, n_prime)
-    m_r0 = _m_of(sizes)[r0 - 1]
+    # k x-slots and m y-slots come before block r0; the reflected tail holds s and l
+    k = m = 0
+    for ai, bi in q.blocks[: r0 - 1]:
+        k += ai
+        m += bi
+    s, l = source_q.signature[0] - k, source_q.signature[1] - m
+    m_r0 = n_prime - 2 * (k + m)
     lam_r0 = lam.values[r0 - 1]
     lam_prime: List[int] = []
     for i, lam_i in enumerate(lam.values, start=1):
@@ -202,11 +199,6 @@ def build_source(
         if offset % 2 != 0:
             raise ParityError(f"shifted character is not integral (offset {offset})")
         lam_prime.append(lam_i - lam_r0 + offset // 2)
-
-    m = sum(b for _, b in q.blocks[: r0 - 1])
-    s = sum(b for _, b in q.blocks[r0:])
-    k = sum(a for a, _ in q.blocks[: r0 - 1])
-    l = sum(a for a, _ in q.blocks[r0:])
 
     return LiftDatum(
         target_q=q,
@@ -269,7 +261,6 @@ def howe_type_map(mu_prime: Weight, target_sig: Tuple[int, int], chi: ChiPair) -
     chi2/2 and half the source signature difference.
     """
     a, b = target_sig
-    a_src, b_src = mu_prime.signature
     rx, ry = recentred(mu_prime, chi.alpha1, target_sig)
     pos_x, neg_x = _split_tails(rx)
     pos_y, neg_y = _split_tails(ry)
@@ -278,8 +269,7 @@ def howe_type_map(mu_prime: Weight, target_sig: Tuple[int, int], chi: ChiPair) -
         raise HoweBoundError(
             f"Howe bound violated: tails ({t},{u},{v},{w}) do not fit in {a}x{b}"
         )
-    cx = chi.alpha2 + (a_src - b_src)
-    cy = chi.alpha2 + (b_src - a_src)
+    cx, cy = _centres(mu_prime, chi.alpha2, None)
     out_x = [cx + r for r in pos_x] + [cx] * (a - t - w) + [cx + r for r in neg_y]
     out_y = [cy + r for r in pos_y] + [cy] * (b - v - u) + [cy + r for r in neg_x]
     return Weight(tuple(out_x), tuple(out_y))

@@ -281,9 +281,11 @@ def test_atlas_out_file(tmp_path, capsys):
 
 
 def test_atlas_out_unwritable_path_exits_two(tmp_path, capsys):
-    """A missing directory or a directory as --out is bad input: one error
-    line naming the path, nothing on stdout, no traceback, exit 2."""
-    for target in (tmp_path / "missing" / "table.tsv", tmp_path):
+    """A missing directory, a directory or a write that fails (a full disk,
+    /dev/full where it exists) as --out is bad input: one error line naming
+    the path, nothing on stdout, no traceback, exit 2."""
+    full = [dev for dev in [Path("/dev/full")] if dev.exists()]
+    for target in [tmp_path / "missing" / "table.tsv", tmp_path, *full]:
         argv = ("atlas", "--a", "1", "--b", "1", "--out", str(target))
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

@@ -487,9 +487,28 @@ def test_inf_char_examples():
 def test_lowest_k_type_examples():
     assert lowest_k_type(alg((2, 2)), (0,)) == Weight.of([0, 0], [0, 0])
     assert lowest_k_type(alg((1, 0), (1, 1)), (4, 2)) == Weight.of([5, 2], [1])
-    assert lowest_k_type(alg((1, 0), (1, 1), (0, 1)), (0, 0, 0)) == two_rho_up(
-        alg((1, 0), (1, 1), (0, 1))
-    )
+    # 2rho(u cap p) = (2, 1 | -1, -2) plus lambda per slot (2, 1 | 1, 0)
+    assert lowest_k_type(alg((1, 0), (1, 1), (0, 1)), (2, 1, 0)) == Weight.of([4, 2], [0, -2])
+
+
+def test_lowest_k_type_is_lambda_plus_the_dense_root_sum():
+    """Oracle at lambda != 0: 2*lambda_i on every slot of block i plus the sum
+    of the dense `root_of` vectors over `delta_u_p`, for every standard
+    algebra with a+b <= 6, every unmerged lift source of one, and every
+    weakly decreasing lambda with entries in [-2, 2]."""
+    algebras = set()
+    for q in all_standard(6):
+        algebras.add(q)
+        algebras.update(_source_algebra(q, r0) for r0 in range(1, q.r + 1))
+    for q in algebras:
+        a, b = q.signature
+        roots = Weight.of([0] * a, [0] * b)
+        for cell in delta_u_p(q):
+            roots = roots + root_of(cell, a, b)
+        for lam in combinations_with_replacement(range(2, -3, -1), q.r):
+            xs = tuple(2 * v for (ai, _), v in zip(q.blocks, lam) for _ in range(ai))
+            ys = tuple(2 * v for (_, bi), v in zip(q.blocks, lam) for _ in range(bi))
+            assert lowest_k_type(q, lam) == Weight(xs, ys) + roots, (q, lam)
 
 
 def test_k_types_bounded_counts():

@@ -103,6 +103,40 @@ def test_build_source_m_prime_relations():
             assert ms[j_tgt] - ms_prime[j_src] == expected
 
 
+def test_build_source_at_every_r0_matches_the_block_sums():
+    """Every standard algebra with a+b <= 6, every r0, lambda in [-1, 1] and
+    alpha1 = n mod 2 and n mod 2 + 2: (m, s, k, l) are the y- and x-sums
+    before and after block r0, the det shift reads m_coeffs(q)[r0 - 1], and
+    the source signature sums the reflected block list."""
+    from aql.arthur import m_coeffs
+
+    def ys(blocks):
+        return sum(bi for _, bi in blocks)
+
+    def xs(blocks):
+        return sum(ai for ai, _ in blocks)
+
+    for q in (q for n in range(7) for a in range(n + 1) for q in enumerate_standard(a, n - a)):
+        n = q.total
+        for r0 in range(1, q.r + 1):
+            before, after = q.blocks[: r0 - 1], q.blocks[r0:]
+            reflected = before + tuple((bi, ai) for ai, bi in after)
+            n_r0 = sum(q.blocks[r0 - 1])
+            m_r0 = m_coeffs(q)[r0 - 1]
+            for lam in combinations_with_replacement((1, 0, -1), q.r):
+                for alpha1 in (n % 2, n % 2 + 2):
+                    chi = (alpha1, (n - n_r0) % 2)
+                    d = build_source(q, lam, r0, chi)
+                    assert d.mslk == (ys(before), ys(after), xs(before), xs(after))
+                    assert d.det_shift == half(2 * lam[r0 - 1] + m_r0 - chi[1])
+                    assert d.source_q.signature == (xs(reflected), ys(reflected))
+                    assert d.source_lambda.values == tuple(
+                        lam_i - lam[r0 - 1] + ((n_r0 if i < r0 else -n_r0) - m_r0 + alpha1) // 2
+                        for i, lam_i in enumerate(lam, start=1)
+                        if i != r0
+                    )
+
+
 def test_build_source_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_source(alg((1, 1)), None, 5, None)
