@@ -158,21 +158,37 @@ def cmd_convergence_check(args) -> int:
     return 0 if ok else 1
 
 
+def _write_atlas(fh, rows, fmt: str) -> None:
+    """The table as TSV in one write, or as the bytes of
+    json.dumps(rows, indent=2) written one row at a time: a row dumped on
+    its own, with each of its lines indented two spaces more."""
+    if fmt == "tsv":
+        fh.write(ATLAS_TSV_HEADER + "\n" + "".join(r.to_tsv() + "\n" for r in rows))
+        return
+    sep = "[\n  "
+    for r in rows:
+        fh.write(sep + json.dumps(r.to_json(), indent=2).replace("\n", "\n  "))
+        sep = ",\n  "
+    fh.write("\n]\n" if rows else "[]\n")
+
+
 def cmd_atlas(args) -> int:
     rows = atlas(args.a, args.b, lax=args.lax)
     args.counts["rows"] = len(rows)
-    if args.format == "tsv":
-        text = ATLAS_TSV_HEADER + "\n" + "".join(r.to_tsv() + "\n" for r in rows)
-    else:
-        text = json.dumps([r.to_json() for r in rows], indent=2) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write_atlas(fh, rows, args.format)
         except OSError as exc:  # an unwritable path or a failed write is bad input, not a crash
             raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        try:
+            _write_atlas(sys.stdout, rows, args.format)
+            sys.stdout.flush()
+        except BrokenPipeError:  # a reader that stops early, as `| head` does, is no error
+            devnull = os.open(os.devnull, os.O_WRONLY)  # so the exit flush writes nowhere
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return 0
 
 

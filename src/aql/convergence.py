@@ -157,8 +157,7 @@ def _cuts(blocks: Tuple[Tuple[int, int], ...]):
 def _lift_tables(a: int, b: int, lax: bool) -> dict:
     """The noncompact convergent algebras of U(a, b), generated forward
     from their predecessors with no search: a dict from the blocks of each,
-    in construction order, to its signature chain (equal chains share one
-    tuple).
+    in construction order, to its signature chain.
 
     The walk back from q cuts out the block r0 holding more than half the
     slots and reflects the blocks after it; so q comes back from its
@@ -169,7 +168,7 @@ def _lift_tables(a: int, b: int, lax: bool) -> dict:
     is kept when it is canonical and not all-pure; each q arises once.
     A smaller frame is one dict, its compact bases (one-element chains)
     first; lax mode waives the stable range for those and on the top step."""
-    frames, chains = {}, {}
+    frames = {}
 
     def table(a: int, b: int, top: bool) -> dict:
         out = {}
@@ -188,7 +187,6 @@ def _lift_tables(a: int, b: int, lax: bool) -> dict:
                     if not (compact or stable or top):
                         break  # past the compact bases, off the top, lax mode waives nothing
                     chain = p_chain + ((a, b),)
-                    chain = chains.setdefault(chain, chain)
                     for head, tail, ca, cb in _cuts(p):
                         # the suffix reflected back holds (b1 - cb, a1 - ca) of p's slots
                         x, y = a - ca - (n1 - a1 - cb), b - cb - (a1 - ca)
@@ -326,7 +324,6 @@ def atlas(a: int, b: int, lax: bool = False) -> List[AtlasRow]:
     lifted = _lift_tables(a, b, lax)
     compact = ((a, b),)  # the chain of every compact row
     rows = []
-    shared = {}  # one tuple per distinct stripped row, for every row
     packets = {}  # the packet size depends only on the multiset of block sizes
     alphas = {}  # each distinct alpha row: stripped, with R+ = |alpha|
     beta = None
@@ -336,11 +333,9 @@ def atlas(a: int, b: int, lax: bool = False) -> List[AtlasRow]:
         if q_beta != beta:  # the algebras of one beta come one after another
             beta = q_beta
             beta_t = tuple(filter(None, beta))
-            beta_t = shared.setdefault(beta_t, beta_t)
             R_minus = a * b - sum(beta)
         if alpha not in alphas:
-            alpha_t = tuple(filter(None, alpha))
-            alphas[alpha] = shared.setdefault(alpha_t, alpha_t), sum(alpha)
+            alphas[alpha] = tuple(filter(None, alpha)), sum(alpha)
         alpha_t, R_plus = alphas[alpha]
         sizes = tuple(sorted(q.levi_sizes))
         if sizes not in packets:

@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .halfint import CharMultiset, Frozen, HalfInt, Weight, exact_int, half
-from .partitions import FrameError, FramedPair, IncompatiblePairError, Partition
+from .partitions import FrameError, FramedPair, IncompatiblePairError, Partition, is_compatible
 
 
 class DominanceError(ValueError):
@@ -218,41 +218,19 @@ def partitions_from_blocks(q: ThetaStableAlgebra) -> FramedPair:
 
 
 def algebra_from_pair(pair: FramedPair) -> ThetaStableAlgebra:
-    """Canonical block list realizing a compatible pair.
-
-    Rows with equal (alpha_i, beta_i) share a block; the gap between the
-    strict-below count of one group and the weak-below count of the next
-    gives an intermediate pure-y block.  A negative gap means no dominant
-    element realizes the pair.
-    """
-    a, b = pair.a, pair.b
-    if a == 0:
-        return ThetaStableAlgebra(((0, b),) if b > 0 else ())
-    groups: List[Tuple[int, int, int]] = []  # (alpha*, beta*, row count)
-    for al, be in pair.row_pairs():
-        if groups and groups[-1][0] == al and groups[-1][1] == be:
-            groups[-1] = (al, be, groups[-1][2] + 1)
-        else:
-            groups.append((al, be, 1))
-    blocks: List[Tuple[int, int]] = []
-    lead = b - groups[0][1]
-    if lead:
-        blocks.append((0, lead))
-    for t, (al, be, count) in enumerate(groups):
-        blocks.append((count, be - al))
-        if t + 1 < len(groups):
-            gap = al - groups[t + 1][1]
-            if gap < 0:
-                raise IncompatiblePairError(f"no block decomposition for {pair.to_json()}")
-            if gap:
-                blocks.append((0, gap))
-    tail = groups[-1][0]
-    if tail:
-        blocks.append((0, tail))
-    q = ThetaStableAlgebra(blocks)
-    if partitions_from_blocks(q) != pair:
+    """Canonical block list realizing a compatible pair; IncompatiblePairError
+    for the others.  Each group of equal (alpha_i, beta_i) rows is one block,
+    after a pure-y block of the y-slots left above its beta (b before the
+    first group); the last group's alpha is the pure-y tail."""
+    if not is_compatible(pair):
         raise IncompatiblePairError(f"no block decomposition for {pair.to_json()}")
-    return q
+    blocks: List[Tuple[int, int]] = []
+    left = pair.b  # y-slots not yet placed
+    for (al, be), rows in groupby(pair.row_pairs()):
+        blocks += [(0, left - be), (len(list(rows)), be - al)]
+        left = al
+    blocks.append((0, left))
+    return ThetaStableAlgebra([blk for blk in blocks if any(blk)])
 
 
 def delta_u_p(q: ThetaStableAlgebra) -> Tuple[Tuple[int, int, int], ...]:
@@ -500,27 +478,20 @@ def _check_frame(a: int, b: int, capped: bool = True) -> None:
 
 def _standard_count(a: int, b: int) -> int:
     """len(enumerate_standard(a, b)) for any frame, with no algebra built:
-    a DP over the block lists of each (i, j) <= (a, b), split by the kind
-    of their last block.  A pure-x block may follow any list not ending
-    pure x, a pure-y block any list not ending pure y, and a mixed block
-    any list; prefix sums over the smaller frames make each entry O(1)."""
-    col_x = [0] * (b + 1)  # per j, lists of (i', j) for i' < i that may take a pure-x block
-    col_all = [0] * (b + 1)  # per j, all lists of (i', j) for i' < i
+    a DP over the block lists of each frame (i, j) <= (a, b), split by the
+    kind of their last block.  A pure-x block may follow any list not
+    ending pure x, a pure-y block any list not ending pure y, and a mixed
+    block any list."""
+    counts = {}  # (i, j): lists ending pure x, ending pure y, and the others
     for i in range(a + 1):
-        # lists of (i, j') for j' < j that may take a pure-y block, and all
-        # lists of (i', j') for i' < i and j' < j, which may take a mixed one
-        row_y = mixed = 0
-        totals = []
         for j in range(b + 1):
-            ends_x, ends_y = col_x[j], row_y
-            total = ends_x + ends_y + mixed + (i == j == 0)  # the empty list at (0, 0)
-            totals.append((total, total - ends_x))
-            row_y += total - ends_y
-            mixed += col_all[j]
-        for j, (total, open_x) in enumerate(totals):
-            col_x[j] += open_x
-            col_all[j] += total
-    return total
+            counts[i, j] = (
+                sum([sum(counts[i - k, j][1:]) for k in range(1, i + 1)]),
+                sum([counts[i, j - k][0] + counts[i, j - k][2] for k in range(1, j + 1)]),
+                sum([sum(counts[i - k, j - m]) for k in range(1, i + 1) for m in range(1, j + 1)])
+                + (i == j == 0),  # the empty list at (0, 0), which any block may follow
+            )
+    return sum(counts[a, b])
 
 
 def _standard(a: int, b: int):

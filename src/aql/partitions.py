@@ -10,6 +10,7 @@ decomposition.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable, List, Set, Tuple
 
 from .halfint import Frozen, exact_int
@@ -119,18 +120,16 @@ def skew_cells(pair: FramedPair) -> Set[Tuple[int, int]]:
 
 
 def is_compatible(pair: FramedPair) -> bool:
-    """Whether the pair arises from a block decomposition.
-
-    Decided by the block reconstruction, which raises unless a canonical
-    block list reproduces the pair.
-    """
-    from .parabolic import algebra_from_pair
-
-    try:
-        algebra_from_pair(pair)
-    except IncompatiblePairError:
-        return False
-    return True
+    """Whether the pair arises from a block decomposition: grouping equal
+    (alpha_i, beta_i) rows, each group's alpha is at least the next group's
+    beta.  That suffices: with every gap alpha_t - beta_{t+1} >= 0, the
+    blocks (count_t, beta_t - alpha_t), the pure-y gaps, a lead of
+    b - beta_1 and a tail of alpha_last y-slots reproduce the rows (the
+    y-slots after group t telescope to alpha_t), and no two adjacent blocks
+    merge (pure-y blocks sit between group blocks, which hold x-slots, and
+    two pure-x group blocks with no gap between them would be one group)."""
+    rows = [key for key, _ in groupby(pair.row_pairs())]
+    return all(al >= be for (al, _), (_, be) in zip(rows, rows[1:]))
 
 
 def enumerate_compatible(a: int, b: int) -> List[FramedPair]:

@@ -7,6 +7,7 @@ shared.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -42,6 +43,7 @@ from aql.thetalift import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 MAX_TOTAL = 6
 LAMBDA_RANGE = range(3, -4, -1)  # every weakly decreasing tuple in [-3, 3]
 
@@ -294,6 +296,7 @@ def test_criterion_10_cli_golden():
             [sys.executable, "-m", "aql.cli", *argv],
             capture_output=True,
             text=True,
+            env=SRC_ENV,
         )
         assert proc.returncode == expected_code, argv
         assert proc.stdout == golden.read_text(), argv
@@ -301,11 +304,13 @@ def test_criterion_10_cli_golden():
     failing = subprocess.run(
         [sys.executable, "-m", "aql.cli", "convergence", "check", "--blocks", "1,1;1,1"],
         capture_output=True,
+        env=SRC_ENV,
     )
     assert failing.returncode == 1
     invalid = subprocess.run(
         [sys.executable, "-m", "aql.cli", "aq", "--blocks", "oops"],
         capture_output=True,
+        env=SRC_ENV,
     )
     assert invalid.returncode == 2
     report(10, "CLI golden files", True, "3 byte-identical outputs; exit codes 0/1/2")

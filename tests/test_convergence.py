@@ -408,13 +408,15 @@ def test_atlas_matches_the_invariants_oracle(lax):
 
 
 def test_atlas_rows_hold_little_memory():
-    """The 15,585 rows of atlas(6,5) hold 4.03 MB under tracemalloc
+    """The 15,585 rows of atlas(6,5) hold 4.08 MB under tracemalloc
     (Python 3.11): slotted rows and algebras that store their blocks and
-    one signature shared by the frame, with the pair, block and chain
-    tuples shared.  Algebras that also stored their own signature, Levi
-    sizes and total held 6.50 MB, rows with instance dicts 7.75 MB, and
-    15.4 MB when every row kept its own tuples.  The ceiling leaves a 16%
-    margin over 4.03 MB."""
+    one signature shared by the frame, with each block pair made once per
+    enumeration, each stripped alpha once per distinct row and each chain
+    once per predecessor.  Interning equal stripped rows and equal chains
+    as well held 4.03 MB; algebras that also stored their own signature,
+    Levi sizes and total held 6.50 MB, rows with instance dicts 7.75 MB,
+    and 15.4 MB when every row kept its own tuples.  The ceiling leaves a
+    15% margin over 4.08 MB."""
     gc.collect()
     tracemalloc.start()
     try:

@@ -2,10 +2,12 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from aql.parabolic import ThetaStableAlgebra, algebra_from_pair, partitions_from_blocks
 from aql.partitions import (
     EMPTY,
     FrameError,
     FramedPair,
+    IncompatiblePairError,
     Partition,
     complement,
     conjugate,
@@ -106,6 +108,63 @@ def test_is_compatible_examples():
     assert is_compatible(FramedPair(2, 2, Partition([1]), Partition([2, 1])))
     p = Partition([2, 1])
     assert is_compatible(FramedPair(3, 3, p, p))
+
+
+def _round_trip_compatible(pair):
+    """Oracle: build the blocks of each group of equal rows, with the
+    pure-y lead, gaps and tail between them (a negative gap fails), and
+    keep the pair when the checked algebra of those blocks gives it back."""
+    groups = []  # [alpha_t, beta_t, row count]
+    for al, be in pair.row_pairs():
+        if groups and groups[-1][:2] == [al, be]:
+            groups[-1][2] += 1
+        else:
+            groups.append([al, be, 1])
+    if not groups:
+        return pair.alpha == pair.beta == EMPTY
+    blocks = [(0, pair.b - groups[0][1])]
+    for t, (al, be, count) in enumerate(groups):
+        gap = al - (groups[t + 1][1] if t + 1 < len(groups) else 0)
+        if gap < 0:
+            return False
+        blocks += [(count, be - al), (0, gap)]
+    q = ThetaStableAlgebra([blk for blk in blocks if blk != (0, 0)])
+    return partitions_from_blocks(q) == pair
+
+
+def nested_pairs(max_total):
+    return [p for n in range(max_total + 1) for a in range(n + 1) for p in candidate_pairs(a, n - a)]
+
+
+def test_is_compatible_agrees_with_the_round_trip_oracle():
+    pairs = nested_pairs(8)
+    verdicts = [is_compatible(p) for p in pairs]
+    assert verdicts == [_round_trip_compatible(p) for p in pairs]
+    assert 0 < sum(verdicts) < len(pairs)
+
+
+def test_algebra_from_pair_raises_exactly_on_the_incompatible_pairs():
+    for pair in nested_pairs(8):
+        if not is_compatible(pair):
+            with pytest.raises(IncompatiblePairError):
+                algebra_from_pair(pair)
+            continue
+        q = algebra_from_pair(pair)
+        assert q.is_canonical and partitions_from_blocks(q) == pair, pair
+
+
+def test_is_compatible_builds_no_algebra(monkeypatch):
+    """The decision reads the rows alone: with both ways to make an
+    algebra broken it still answers, for every nested pair with a+b <= 6."""
+    pairs = nested_pairs(6)
+    want = [_round_trip_compatible(p) for p in pairs]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("is_compatible built an algebra")
+
+    monkeypatch.setattr(ThetaStableAlgebra, "__init__", broken)
+    monkeypatch.setattr(ThetaStableAlgebra, "_trusted", broken)
+    assert [is_compatible(p) for p in pairs] == want
 
 
 def test_enumerate_compatible_small_frames():
