@@ -5,19 +5,20 @@ invariants of one module, packet listing, lift construction and
 verification, convergence checks and the atlas table.  Output is
 deterministic: the same argv and the same `AQL_BOUND` give byte-identical stdout.
 Exit codes: 0 success / verified, 1 a verification returned false,
-2 invalid input, 3 internal error (an unexpected exception).
+2 invalid input or a failed write, 3 internal error (an unexpected exception).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
 import sys
 import time
-from itertools import takewhile
-from typing import List, Optional
+from itertools import chain, takewhile
+from typing import Iterable, Iterator, List, Optional
 
 from . import __version__
 from .arthur import psi_lambda_q
@@ -43,8 +44,35 @@ LAMBDA_HELP = "per-block character, e.g. '2,1,0' or '-1,-2' (default 0)"
 INTEGER_LIST = re.compile(r"-?\d+(,-?\d+)*")
 
 
+def _write(chunks: Iterable[str], out: Optional[str] = None) -> None:
+    """Write the text chunks one at a time to stdout, or to the file `out`;
+    a failed write is bad input, but a reader that stops early is not."""
+    try:
+        with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+            fh.writelines(chunks)
+            fh.flush()  # a short output fails here, not at exit
+    except OSError as exc:
+        if out:
+            raise ValueError(f"cannot write --out {out!r}: {exc.strerror}") from None
+        devnull = os.open(os.devnull, os.O_WRONLY)  # so the exit flush writes nowhere
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):  # `| head` closing the pipe is no error
+            raise ValueError(f"cannot write stdout: {exc.strerror}") from None
+
+
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    _write([json.dumps(doc, indent=2) + "\n"])
+
+
+def _json_list(items) -> Iterator[str]:
+    """json.dumps(list(items), indent=2) + "\\n", one element at a time:
+    each dumped on its own, its lines indented two spaces more."""
+    sep = "[\n  "
+    for item in items:
+        yield sep + json.dumps(item, indent=2).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
 def _parse_lambda(text: Optional[str], q: ThetaStableAlgebra) -> LambdaCharacter:
@@ -77,7 +105,7 @@ def cmd_partitions_enumerate(args) -> int:
         _check_frame(args.a, args.b)
         _emit(_standard_count(args.a, args.b))  # one algebra per pair, none built
     else:
-        _emit([p.to_json() for p in enumerate_compatible(args.a, args.b)])
+        _write(_json_list(p.to_json() for p in enumerate_compatible(args.a, args.b)))
     return 0
 
 
@@ -140,7 +168,7 @@ def cmd_lift_verify(args) -> int:
         lines = [f"{name}: {'true' if ok else 'false'}" for name, ok in report.checks.items()]
         lines[-1] += f" (bound {report.bound})"
         lines.append("all checks passed" if report.all_ok else "verification failed")
-        sys.stdout.write("".join(line + "\n" for line in lines))
+        _write(line + "\n" for line in lines)
     return 0 if report.all_ok else 1
 
 
@@ -158,37 +186,14 @@ def cmd_convergence_check(args) -> int:
     return 0 if ok else 1
 
 
-def _write_atlas(fh, rows, fmt: str) -> None:
-    """The table as TSV in one write, or as the bytes of
-    json.dumps(rows, indent=2) written one row at a time: a row dumped on
-    its own, with each of its lines indented two spaces more."""
-    if fmt == "tsv":
-        fh.write(ATLAS_TSV_HEADER + "\n" + "".join(r.to_tsv() + "\n" for r in rows))
-        return
-    sep = "[\n  "
-    for r in rows:
-        fh.write(sep + json.dumps(r.to_json(), indent=2).replace("\n", "\n  "))
-        sep = ",\n  "
-    fh.write("\n]\n" if rows else "[]\n")
-
-
 def cmd_atlas(args) -> int:
     rows = atlas(args.a, args.b, lax=args.lax)
     args.counts["rows"] = len(rows)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                _write_atlas(fh, rows, args.format)
-        except OSError as exc:  # an unwritable path or a failed write is bad input, not a crash
-            raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
+    if args.format == "tsv":
+        chunks = chain([ATLAS_TSV_HEADER + "\n"], (r.to_tsv() + "\n" for r in rows))
     else:
-        try:
-            _write_atlas(sys.stdout, rows, args.format)
-            sys.stdout.flush()
-        except BrokenPipeError:  # a reader that stops early, as `| head` does, is no error
-            devnull = os.open(os.devnull, os.O_WRONLY)  # so the exit flush writes nowhere
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        chunks = _json_list(r.to_json() for r in rows)
+    _write(chunks, args.out)
     return 0
 
 
