@@ -324,51 +324,15 @@ def test_atlas_json_has_the_bytes_of_one_dump(tmp_path, capsys):
     assert run_cli(capsys, "atlas", "--a", "0", "--b", "0")[1] == "[]\n"
 
 
-@pytest.mark.parametrize("fmt", ["json", "tsv"])
-def test_atlas_to_a_reader_that_stops_early_exits_zero(fmt):
-    """`aql atlas ... | head -c 100`: the reader closes the pipe after a
-    few bytes; the writer stops with exit 0 and nothing on stderr."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "aql.cli", "atlas", "--a", "6", "--b", "5", "--format", fmt],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SRC_ENV,
-    )
-    head = proc.stdout.read(100)
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0, err
-    assert len(head) == 100 and err == b""
-
-
-def test_atlas_json_peak_rss_stays_small():
-    """A fresh `aql atlas --a 6 --b 5` in JSON read 19.1 MB peak RSS
-    written row by row, against 100.8 MB when the whole text was built
-    first (Python 3.11.7, Linux, three runs each); the 35 MB ceiling
-    leaves room over the first for other Python builds.
-    A small wrapper process starts it and reads its children's peak: a
-    process started straight from the test runner can report the runner's
-    own peak as its start."""
-    code = (
-        "import resource, subprocess, sys;"
-        " done = subprocess.run([sys.executable, '-m', 'aql.cli', 'atlas', '--a', '6', '--b', '5'],"
-        " stdout=subprocess.DEVNULL);"
-        " print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, timeout=120
-    )
-    exit_code, max_rss_kb = map(int, done.stdout.split())
-    assert exit_code == 0, done.stderr
-    assert max_rss_kb < 35 * 1024, max_rss_kb
-
-
 def aql(*argv):
     return [sys.executable, "-m", "aql.cli", *argv]
 
 
 def fresh_peak_rss_kb(*argv):
-    """The peak RSS in KB of a fresh `aql *argv` with stdout to /dev/null,
-    read by a small wrapper process as its children's peak, as in
-    test_atlas_json_peak_rss_stays_small."""
+    """The peak RSS in KB of a fresh `aql *argv` with stdout to /dev/null.
+    A small wrapper process starts it and reads its children's peak: a
+    process started straight from the test runner can report the runner's
+    own peak as its start."""
     code = (
         "import resource, subprocess, sys;"
         f" done = subprocess.run({aql(*argv)!r}, stdout=subprocess.DEVNULL);"
@@ -382,21 +346,30 @@ def fresh_peak_rss_kb(*argv):
     return max_rss_kb
 
 
-SIX_BLOCKS = ";".join(["2,2"] * 6)
+def test_atlas_json_peak_rss_stays_small():
+    """A fresh `aql atlas --a 6 --b 5` in JSON read 19.1 MB peak RSS
+    written row by row, against 100.8 MB when the whole text was built
+    first (Python 3.11.7, Linux, three runs each); the 35 MB ceiling
+    leaves room over the first for other Python builds."""
+    max_rss_kb = fresh_peak_rss_kb("atlas", "--a", "6", "--b", "5")
+    assert max_rss_kb < 35 * 1024, max_rss_kb
+
+
 LONG_OUTPUTS = {
     "atlas-json": ("atlas", "--a", "6", "--b", "5"),
     "atlas-tsv": ("atlas", "--a", "6", "--b", "5", "--format", "tsv"),
     "partitions": ("partitions", "enumerate", "--a", "6", "--b", "6"),
-    "packet": ("packet", "--blocks", SIX_BLOCKS),
+    "packet": ("packet", "--blocks", ";".join(["2,2"] * 6)),
     "aq": ("aq", "--blocks", ";".join(["1,1"] * 500)),
 }
 
 
 @pytest.mark.parametrize("argv", LONG_OUTPUTS.values(), ids=LONG_OUTPUTS.keys())
 def test_every_command_to_a_reader_that_stops_early_exits_zero(argv, capsys):
-    """`aql ... | head -c 100` on an output past the 64 KB pipe buffer, so
-    that a write fails midway: exit 0, nothing on stderr but the --meta
-    line, whose exit is 0 too."""
+    """`aql ... | head -c 100`: the reader closes the pipe after a few
+    bytes of an output past the 64 KB pipe buffer, so a write fails
+    midway; the writer stops with exit 0 and nothing on stderr but the
+    --meta line, whose exit is 0 too."""
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and len(out) > 64 * 1024
     for meta in ((), ("--meta",)):
