@@ -10,10 +10,10 @@ well-definedness.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .halfint import CharMultiset, Frozen, HalfIntLike, exact_int, format_twice, twice_of
-from .parabolic import ThetaStableAlgebra, _as_lambda, _m_of, centred_string, m_coeffs
+from .parabolic import ThetaStableAlgebra, _as_lambda, _summands, centred_string, m_coeffs
 
 
 class ParityError(ValueError):
@@ -104,16 +104,17 @@ def parity_check(ks: Sequence[HalfIntLike], q: ThetaStableAlgebra) -> bool:
 def psi_lambda_q(q: ThetaStableAlgebra, lam=None) -> ParameterRestriction:
     """The parameter attached to (q, lambda): block i contributes
     mu^(lambda_i + m_i/2) (x) sigma_{n_i}."""
-    lam = _as_lambda(q, lam)
-    sizes = q.levi_sizes
-    return ParameterRestriction(
-        twice=((2 * lam_i + m_i, n_i) for lam_i, m_i, n_i in zip(lam.values, _m_of(sizes), sizes))
-    )
+    return ParameterRestriction(twice=_summands(q.blocks, _as_lambda(q, lam).values))
 
 
 def twist_twice(psi: ParameterRestriction, c: int) -> ParameterRestriction:
     """Tensor with mu^(c/2): add c to every doubled exponent."""
-    return ParameterRestriction(twice=((k + c, n) for k, n in psi.summands))
+    return ParameterRestriction(twice=_twisted(psi.summands, c))
+
+
+def _twisted(summands: Iterable[Tuple[int, int]], c: int) -> List[Tuple[int, int]]:
+    """The doubled summands of `twist_twice`, in the given order."""
+    return [(k + c, n) for k, n in summands]
 
 
 def twist(psi: ParameterRestriction, c: HalfIntLike) -> ParameterRestriction:
@@ -126,8 +127,16 @@ def theta_lift_param(
 ) -> ParameterRestriction:
     """Lift a rank-n' parameter to rank n: twist the old summands by
     (alpha2 - alpha1)/2 and adjoin mu^(alpha2/2) (x) sigma_{n-n'}."""
-    n_prime = psi_prime.dimension
+    return ParameterRestriction(twice=_lifted(psi_prime.summands, chi.alpha1, chi.alpha2, n))
+
+
+def _lifted(
+    summands: Sequence[Tuple[int, int]], alpha1: int, alpha2: int, n: int
+) -> List[Tuple[int, int]]:
+    """The doubled summands of `theta_lift_param`, unsorted."""
+    n_prime = sum([n_i for _, n_i in summands])
     if n_prime >= n:
         raise ValueError("target must be strictly larger")
-    old = twist_twice(psi_prime, chi.alpha2 - chi.alpha1).summands
-    return ParameterRestriction(twice=(*old, (chi.alpha2, n - n_prime)))
+    out = _twisted(summands, alpha2 - alpha1)
+    out.append((alpha2, n - n_prime))
+    return out

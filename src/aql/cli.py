@@ -54,11 +54,28 @@ def _write(chunks: Iterable[str], out: Optional[str] = None) -> None:
     except OSError as exc:
         if out:
             raise ValueError(f"cannot write --out {out!r}: {exc.strerror}") from None
-        devnull = os.open(os.devnull, os.O_WRONLY)  # so the exit flush writes nowhere
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_devnull(sys.stdout)
         if not isinstance(exc, BrokenPipeError):  # `| head` closing the pipe is no error
             raise ValueError(f"cannot write stdout: {exc.strerror}") from None
+
+
+def _to_devnull(stream) -> None:
+    """Point the stream's fd at os.devnull, so that the flush at exit writes
+    nowhere and cannot turn the exit code into 120."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _note(text: str, stream=None) -> None:
+    """Write text to stderr (or `stream`) and flush it; a reader that has gone
+    is no error, so the command keeps its own exit code."""
+    stream = stream or sys.stderr
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        _to_devnull(stream)
 
 
 def _emit(doc) -> None:
@@ -289,22 +306,24 @@ def run(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(_attach_values(argv))
     except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help
+        # argparse exits 2 on usage errors and 0 on --help, and ignores a failed write
         code = exc.code if isinstance(exc.code, int) else 2
+        _note("", sys.stdout)
+        _note("")
     else:
         args.counts = counts
         try:
             code = args.func(args)
         except ValueError as exc:
-            sys.stderr.write(f"error: {exc}\n")
+            _note(f"error: {exc}\n")
             code = 2
         except Exception as exc:  # exit 1 would read as "verification false"
-            sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+            _note(f"internal error: {type(exc).__name__}: {exc}\n")
             code = 3
     if _wants_meta(argv):
         meta = {"tool": "aql", "version": __version__, "argv": argv,
                 "exit": code, "elapsed_s": round(time.perf_counter() - start, 6), **counts}
-        sys.stderr.write(json.dumps(meta) + "\n")
+        _note(json.dumps(meta) + "\n")
     return code
 
 

@@ -281,13 +281,22 @@ def two_rho_up(q: ThetaStableAlgebra) -> Weight:
 
 def m_coeffs(q: ThetaStableAlgebra) -> Tuple[int, ...]:
     """m_i = -(n_1+...+n_{i-1}) + (n_{i+1}+...+n_r) for each block."""
-    return _m_of(q.levi_sizes)
+    return tuple([m_i for m_i, _ in _summands(q.blocks, (0,) * q.r)])
 
 
-def _m_of(sizes: Tuple[int, ...]) -> Tuple[int, ...]:
-    """`m_coeffs` from the Levi sizes n_i."""
-    n = sum(sizes)
-    return tuple(n - n_i - 2 * p for n_i, p in zip(sizes, accumulate(sizes, initial=0)))
+def _summands(blocks: Sequence[Tuple[int, int]], values: Sequence[int]) -> List[Tuple[int, int]]:
+    """The doubled summands (2k, n) of (blocks, lambda), in block order: block i
+    gives (2*lambda_i + m_i, n_i), m_i the slots after it less those before it."""
+    after = before = 0
+    for ai, bi in blocks:  # a loop: a comprehension costs a frame per call
+        after += ai + bi
+    out = []
+    for (ai, bi), lam_i in zip(blocks, values):
+        n_i = ai + bi
+        after -= n_i
+        out.append((2 * lam_i + after - before, n_i))
+        before += n_i
+    return out
 
 
 def centred_string(center: int, n: int) -> range:
@@ -304,28 +313,38 @@ def inf_char_aq(q: ThetaStableAlgebra, lam=None) -> CharMultiset:
     blocks.  This closed form already incorporates the half-sum for the
     Levi, so no positive system is ever chosen.
     """
-    lam = _as_lambda(q, lam)
-    sizes = q.levi_sizes
-    entries = []
-    for lam_i, m_i, n_i in zip(lam.values, _m_of(sizes), sizes):
-        entries.extend(centred_string(2 * lam_i + m_i, n_i))
-    return CharMultiset(twice=entries)
+    return CharMultiset(twice=_inf_char_twice(q.blocks, _as_lambda(q, lam).values))
+
+
+def _inf_char_twice(blocks: Sequence[Tuple[int, int]], values: Sequence[int]) -> List[int]:
+    """The doubled entries of `inf_char_aq`, unsorted: the string of each summand."""
+    entries: List[int] = []
+    for k, n_i in _summands(blocks, values):
+        entries += centred_string(k, n_i)
+    return entries
 
 
 def lowest_k_type(q: ThetaStableAlgebra, lam=None) -> Weight:
     """Highest weight of the K-type generating the module: lambda + 2rho(u cap p),
     in one pass: each slot of block i holds 2*lambda_i plus its `two_rho_up` entry."""
-    lam = _as_lambda(q, lam)
-    a, b = q.signature
+    xs, ys = _lowest_k_type_twice(q.blocks, q.signature, _as_lambda(q, lam).values)
+    return Weight(tuple(xs), tuple(ys))
+
+
+def _lowest_k_type_twice(
+    blocks: Sequence[Tuple[int, int]], signature: Tuple[int, int], values: Sequence[int]
+) -> Tuple[List[int], List[int]]:
+    """The doubled x- and y-coordinates of `lowest_k_type`."""
+    a, b = signature
     xs: List[int] = []
     ys: List[int] = []
     a_before = b_before = 0
-    for (ai, bi), lam_i in zip(q.blocks, lam.values):
+    for (ai, bi), lam_i in zip(blocks, values):
         xs += [2 * (lam_i + b - bi - 2 * b_before)] * ai
         ys += [2 * (lam_i + a - ai - 2 * a_before)] * bi
         a_before += ai
         b_before += bi
-    return Weight(tuple(xs), tuple(ys))
+    return xs, ys
 
 
 MAX_CONE = 200_000
@@ -434,8 +453,13 @@ def recentred(
 
 def _centres(w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]]) -> Tuple[int, int]:
     """The doubled centres that `recentred` subtracts from w.x and w.y."""
-    fa, fb = frame if frame is not None else w.signature
-    return chi1_alpha + (fa - fb), chi1_alpha + (fb - fa)
+    return _frame_centres(chi1_alpha, frame if frame is not None else w.signature)
+
+
+def _frame_centres(alpha: int, frame: Tuple[int, int]) -> Tuple[int, int]:
+    """The doubled centres alpha + (a - b) and alpha + (b - a) of the frame (a, b)."""
+    fa, fb = frame
+    return alpha + (fa - fb), alpha + (fb - fa)
 
 
 def degree_twice(w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]] = None) -> int:

@@ -24,23 +24,20 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .halfint import CharMultiset, Frozen, HalfInt, Weight, format_twice, half, shift
-from .arthur import (
-    ChiPair,
-    ParityError,
-    psi_lambda_q,
-    theta_lift_param,
-    twist_twice,
-)
+from .halfint import CharMultiset, Frozen, HalfInt, Weight, format_twice, half
+from .arthur import ChiPair, ParameterRestriction, ParityError, _lifted, _twisted
 from .parabolic import (
     LambdaCharacter,
     ThetaStableAlgebra,
     _as_lambda,
     _centres,
     _cone,
+    _frame_centres,
+    _inf_char_twice,
+    _lowest_k_type_twice,
     _source_algebra,
+    _summands,
     centred_string,
-    inf_char_aq,
     lowest_k_type,
     recentred,
 )
@@ -213,11 +210,18 @@ def build_source(
 
 
 def _parameter_check(d: LiftDatum):
-    """(verdict, lifted source parameter, det-twisted target parameter)."""
-    lifted = theta_lift_param(
-        psi_lambda_q(d.source_q, d.source_lambda), d.chi, d.target_q.total
+    """(verdict, lifted source summands, det-twisted target summands), each a
+    sorted list of doubled (2k, n) pairs."""
+    source, target = d.source_q, d.target_q
+    lifted = _lifted(
+        _summands(source.blocks, _as_lambda(source, d.source_lambda).values),
+        d.chi.alpha1, d.chi.alpha2, target.total,
     )
-    twisted = twist_twice(psi_lambda_q(d.target_q, d.target_lambda), -d.det_shift.twice)
+    twisted = _twisted(
+        _summands(target.blocks, _as_lambda(target, d.target_lambda).values), -d.det_shift.twice
+    )
+    lifted.sort()
+    twisted.sort()
     return lifted == twisted, lifted, twisted
 
 
@@ -227,14 +231,19 @@ def verify_parameter_identity(d: LiftDatum) -> bool:
 
 
 def _inf_char_check(d: LiftDatum):
-    """(verdict, lifted source infinitesimal character, target one)."""
-    n_r0 = sum(d.target_q.blocks[d.r0 - 1])
-    chi_jump = d.chi.alpha2 - d.chi.alpha1
-    entries = [v + chi_jump for v in inf_char_aq(d.source_q, d.source_lambda).entries]
-    entries.extend(centred_string(d.chi.alpha2, n_r0))
-    lifted = CharMultiset(twice=entries).shifted(d.det_shift)
-    target = inf_char_aq(d.target_q, d.target_lambda)
-    return lifted == target, lifted, target
+    """(verdict, lifted source infinitesimal character, target one), each a
+    sorted list of doubled entries."""
+    source, target, chi, det = d.source_q, d.target_q, d.chi, d.det_shift.twice
+    n_r0 = sum(target.blocks[d.r0 - 1])
+    jump = chi.alpha2 - chi.alpha1 + det
+    lifted = [
+        v + jump for v in _inf_char_twice(source.blocks, _as_lambda(source, d.source_lambda).values)
+    ]
+    lifted += centred_string(chi.alpha2 + det, n_r0)
+    entries = _inf_char_twice(target.blocks, _as_lambda(target, d.target_lambda).values)
+    lifted.sort()
+    entries.sort()
+    return lifted == entries, lifted, entries
 
 
 def verify_inf_char(d: LiftDatum) -> bool:
@@ -260,8 +269,17 @@ def howe_type_map(mu_prime: Weight, target_sig: Tuple[int, int], chi: ChiPair) -
     the strictly negative tails swap factors.  The result is recentered by
     chi2/2 and half the source signature difference.
     """
-    a, b = target_sig
     rx, ry = recentred(mu_prime, chi.alpha1, target_sig)
+    out_x, out_y = _howe_image(rx, ry, target_sig, _centres(mu_prime, chi.alpha2, None))
+    return Weight(tuple(out_x), tuple(out_y))
+
+
+def _howe_image(
+    rx: Sequence[int], ry: Sequence[int], target_sig: Tuple[int, int], centres: Tuple[int, int]
+) -> Tuple[List[int], List[int]]:
+    """`howe_type_map` on the recentred doubled coordinates: the image's x- and
+    y-coordinates about the doubled output centres."""
+    a, b = target_sig
     pos_x, neg_x = _split_tails(rx)
     pos_y, neg_y = _split_tails(ry)
     t, u, v, w = len(pos_x), len(neg_x), len(pos_y), len(neg_y)
@@ -269,20 +287,29 @@ def howe_type_map(mu_prime: Weight, target_sig: Tuple[int, int], chi: ChiPair) -
         raise HoweBoundError(
             f"Howe bound violated: tails ({t},{u},{v},{w}) do not fit in {a}x{b}"
         )
-    cx, cy = _centres(mu_prime, chi.alpha2, None)
+    cx, cy = centres
     out_x = [cx + r for r in pos_x] + [cx] * (a - t - w) + [cx + r for r in neg_y]
     out_y = [cy + r for r in pos_y] + [cy] * (b - v - u) + [cy + r for r in neg_x]
-    return Weight(tuple(out_x), tuple(out_y))
+    return out_x, out_y
 
 
 def _k_type_check(d: LiftDatum):
     """(verdict, source lowest K-type, its twisted image or None, target
-    lowest K-type).  The source lowest K-type must decompose with tail
-    groups sized (k,s,m,l): k non-negative then s non-positive x-residuals,
-    m non-negative then l non-positive y-residuals."""
+    lowest K-type), each K-type an (x, y) pair of doubled coordinate lists.
+    The source lowest K-type must decompose with tail groups sized (k,s,m,l):
+    k non-negative then s non-positive x-residuals, m non-negative then l
+    non-positive y-residuals."""
     m, s, k, l = d.mslk
-    low = lowest_k_type(d.source_q, d.source_lambda)
-    rx, ry = recentred(low, d.chi.alpha1, d.target_signature)
+    source, target, chi, det = d.source_q, d.target_q, d.chi, d.det_shift.twice
+    low = _lowest_k_type_twice(
+        source.blocks, source.signature, _as_lambda(source, d.source_lambda).values
+    )
+    target_low = _lowest_k_type_twice(
+        target.blocks, target.signature, _as_lambda(target, d.target_lambda).values
+    )
+    xs, ys = low
+    cx, cy = _frame_centres(chi.alpha1, target.signature)
+    rx, ry = [v - cx for v in xs], [v - cy for v in ys]
     zones_ok = (
         len(rx) == k + s
         and len(ry) == m + l
@@ -291,12 +318,13 @@ def _k_type_check(d: LiftDatum):
         and all(v >= 0 for v in ry[:m])
         and all(v <= 0 for v in ry[m:])
     )
+    # the det twist moves both output centres
+    centres = _frame_centres(chi.alpha2 + det, source.signature)
     try:
-        mapped = shift(howe_type_map(low, d.target_signature, d.chi), d.det_shift)
+        mapped = _howe_image(rx, ry, target.signature, centres)
     except HoweBoundError:
         mapped = None
-    target = lowest_k_type(d.target_q, d.target_lambda)
-    return zones_ok and mapped == target, low, mapped, target
+    return zones_ok and mapped == target_low, low, mapped, target_low
 
 
 def verify_k_type(d: LiftDatum) -> bool:
@@ -320,6 +348,12 @@ def verify_min_degree(d: LiftDatum, bound: int = DEFAULT_BOUND) -> bool:
     return _min_degree_check(d, bound)[0]
 
 
+def _weight(coordinates: Tuple[List[int], List[int]]) -> Weight:
+    """The `Weight` of an (x, y) pair of doubled coordinate lists."""
+    xs, ys = coordinates
+    return Weight(tuple(xs), tuple(ys))
+
+
 def full_report(
     q: ThetaStableAlgebra,
     lam=None,
@@ -334,13 +368,13 @@ def full_report(
     ktype_ok, src_low, mapped, tgt_low = _k_type_check(d)
     mindegree_ok, base_degree, degrees = _min_degree_check(d, bound)
     details = {
-        "lifted_parameter": lifted_param.to_json(),
-        "twisted_target_parameter": twisted_param.to_json(),
-        "lifted_inf_char": lifted_inf.to_json(),
-        "target_inf_char": target_inf.to_json(),
-        "source_lowest_k_type": src_low.to_json(),
-        "mapped_k_type": None if mapped is None else mapped.to_json(),
-        "target_lowest_k_type": tgt_low.to_json(),
+        "lifted_parameter": ParameterRestriction(twice=lifted_param).to_json(),
+        "twisted_target_parameter": ParameterRestriction(twice=twisted_param).to_json(),
+        "lifted_inf_char": CharMultiset(twice=lifted_inf).to_json(),
+        "target_inf_char": CharMultiset(twice=target_inf).to_json(),
+        "source_lowest_k_type": _weight(src_low).to_json(),
+        "mapped_k_type": None if mapped is None else _weight(mapped).to_json(),
+        "target_lowest_k_type": _weight(tgt_low).to_json(),
         "min_degree": {
             "lowest_k_type_degree": format_twice(base_degree),
             "cone_minimum": format_twice(min(degrees, default=base_degree)),

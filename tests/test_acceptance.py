@@ -62,7 +62,9 @@ def all_standard(max_total):
 
 @pytest.fixture(scope="module")
 def lift_family():
-    """Run every lift check over the exhaustive a+b <= 6 family once."""
+    """Run every lift check over the exhaustive a+b <= 6 family once, with
+    the in-process seconds of the parameter, infinitesimal-character and
+    K-type checks."""
     stats = {
         "instances": 0,
         "lemma_pairs": 0,
@@ -74,6 +76,9 @@ def lift_family():
         "mindeg_fails": 0,
         "core_elapsed": 0.0,
         "mindeg_elapsed": 0.0,
+        "param_elapsed": 0.0,
+        "infchar_elapsed": 0.0,
+        "ktype_elapsed": 0.0,
     }
     lam_choices = {}
     t_start = time.perf_counter()
@@ -96,12 +101,19 @@ def lift_family():
                 for alpha1 in (n % 2, n % 2 + 2):
                     datum = build_source(q, lam, r0, (alpha1, n_prime % 2))
                     stats["instances"] += 1
-                    if not verify_parameter_identity(datum):
-                        stats["param_fails"] += 1
-                    if not verify_inf_char(datum):
-                        stats["infchar_fails"] += 1
-                    if not verify_k_type(datum):
-                        stats["ktype_fails"] += 1
+                    t0 = time.perf_counter()
+                    param_ok = verify_parameter_identity(datum)
+                    t1 = time.perf_counter()
+                    infchar_ok = verify_inf_char(datum)
+                    t2 = time.perf_counter()
+                    ktype_ok = verify_k_type(datum)
+                    t3 = time.perf_counter()
+                    stats["param_elapsed"] += t1 - t0
+                    stats["infchar_elapsed"] += t2 - t1
+                    stats["ktype_elapsed"] += t3 - t2
+                    stats["param_fails"] += not param_ok
+                    stats["infchar_fails"] += not infchar_ok
+                    stats["ktype_fails"] += not ktype_ok
                     if n_prime <= 4:
                         stats["mindeg_instances"] += 1
                         t0 = time.perf_counter()
@@ -159,7 +171,8 @@ def test_criterion_2_parameter_identity(lift_family):
         2,
         "theta-lift parameter identity",
         ok,
-        f"{s['instances']} instances, {s['param_fails']} failures, {s['core_elapsed']:.1f}s",
+        f"{s['instances']} instances, {s['param_fails']} failures, {s['core_elapsed']:.1f}s; "
+        f"parameter check {s['param_elapsed']:.1f}s",
     )
 
 
@@ -179,7 +192,8 @@ def test_criterion_4_inf_char_composition(lift_family):
         4,
         "lift composition of infinitesimal characters",
         s["infchar_fails"] == 0,
-        f"{s['instances']} instances, {s['infchar_fails']} failures",
+        f"{s['instances']} instances, {s['infchar_fails']} failures, "
+        f"{s['infchar_elapsed']:.1f}s",
     )
 
 
@@ -189,7 +203,7 @@ def test_criterion_5_k_type_lemma(lift_family):
         5,
         "lowest K-type decomposition and type map",
         s["ktype_fails"] == 0,
-        f"{s['instances']} instances, {s['ktype_fails']} failures",
+        f"{s['instances']} instances, {s['ktype_fails']} failures, {s['ktype_elapsed']:.1f}s",
     )
 
 

@@ -408,6 +408,43 @@ def test_a_reader_closed_before_the_first_byte_leaves_the_exit_code(argv, exit_c
     assert (proc.returncode, err) == (exit_code, b"")
 
 
+# a run whose packet command raises an unexpected exception: the `internal error:` line
+BROKEN_PACKET = (
+    "-c",
+    "import sys, aql.cli as c\n"
+    "def broken(q, lam): raise RuntimeError('boom')\n"
+    "c.enumerate_packet = broken\n"
+    "sys.exit(c.run(sys.argv[1:]))",
+    "packet", "--blocks", "1,0;0,1",
+)
+STDERR_LINES = {
+    "error": (aql("aq", "--blocks", "x"), 2),
+    "internal-error": ([sys.executable, *BROKEN_PACKET], 3),
+    "meta": (aql("--meta", "aq", "--blocks", "1,1"), 0),
+    "meta-false": (aql("--meta", "convergence", "check", "--blocks", "1,1;1,1"), 1),
+    "meta-usage": (aql("--meta", "atlas", "--a", "x", "--b", "1"), 2),
+    "usage": (aql("aq"), 2),
+    "help": (aql("--help"), 0),
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("cmd, exit_code", STDERR_LINES.values(), ids=STDERR_LINES.keys())
+def test_a_stderr_reader_that_has_gone_leaves_the_exit_code(cmd, exit_code, unbuffered):
+    """`aql ... 2>&1 >/dev/null | true`: the `error:`, `internal error:`,
+    `--meta` and usage lines fail to reach a stderr whose reader has gone.
+    The command keeps its own exit code, not 120 from the flush at exit
+    nor 1 from a traceback under PYTHONUNBUFFERED.  `--help` writes to a
+    closed stdout and keeps its exit 0 the same way."""
+    env = {**SRC_ENV, "PYTHONUNBUFFERED": "1"} if unbuffered else SRC_ENV
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = write_end if cmd[-1] == "--help" else subprocess.DEVNULL
+    proc = subprocess.Popen(cmd, stdout=stdout, stderr=write_end, env=env)
+    os.close(write_end)
+    assert proc.wait(timeout=60) == exit_code
+
+
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv",

@@ -1,17 +1,30 @@
-from itertools import combinations_with_replacement
+import hashlib
+import json
+import time
+from collections import Counter
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from aql.arthur import ChiPair, ParameterRestriction, ParityError
+from aql.arthur import (
+    ChiPair,
+    ParameterRestriction,
+    ParityError,
+    psi_lambda_q,
+    theta_lift_param,
+    twist_twice,
+)
 from aql.convergence import atlas, predecessor
-from aql.halfint import CharMultiset, Weight, format_twice, half
+from aql.halfint import CharMultiset, Weight, format_twice, half, shift
 from aql.parabolic import (
     LambdaCharacter,
     ThetaStableAlgebra,
     _cone,
+    centred_string,
     degree_twice,
     delta_u_p,
     enumerate_standard,
+    inf_char_aq,
     k_types_bounded,
     lowest_k_type,
     recentred,
@@ -405,6 +418,145 @@ def test_full_report_is_deterministic():
     a = full_report(alg((1, 0), (2, 2), (0, 1)), None, 2, None)
     b = full_report(alg((1, 0), (2, 2), (0, 1)), None, 2, None)
     assert a.to_json() == b.to_json()
+
+
+def every_r0_data(max_total, lambda_values):
+    """(q, lambda, r0, chi) for the a+b <= max_total family at every r0, not
+    only the maximal ones, both alpha1 parities and alpha2 = n' mod 2."""
+    for n in range(1, max_total + 1):
+        for a in range(n + 1):
+            for q in enumerate_standard(a, n - a):
+                for r0 in range(1, q.r + 1):
+                    n_prime = n - q.levi_sizes[r0 - 1]
+                    for lam in combinations_with_replacement(lambda_values, q.r):
+                        for alpha1 in (n % 2, n % 2 + 2):
+                            yield q, lam, r0, (alpha1, n_prime % 2)
+
+
+def test_full_report_bytes_are_pinned():
+    """The sha256 of the sorted-key `full_report` JSON lines of the 1,980 data
+    of the a+b <= 4 family (every r0, lambda in [-1, 1], both alpha1
+    parities, bound 2), recorded before the checks moved to doubled ints.
+    About 0.5 s on 2 CPUs."""
+    digest, count = hashlib.sha256(), 0
+    for q, lam, r0, chi in every_r0_data(4, range(1, -2, -1)):
+        doc = full_report(q, lam, r0, chi, 2).to_json()
+        digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
+        count += 1
+    assert count == 1980
+    assert digest.hexdigest() == "5c0ceedb31e318cea1001c7dc51e76e0dff1e9969eb9fdf4fca145311ffb13e4"
+
+
+def oracle_parameter(d):
+    """The parameter check as it read on `ParameterRestriction`s."""
+    lifted = theta_lift_param(psi_lambda_q(d.source_q, d.source_lambda), d.chi, d.target_q.total)
+    twisted = twist_twice(psi_lambda_q(d.target_q, d.target_lambda), -d.det_shift.twice)
+    return lifted == twisted
+
+
+def oracle_inf_char(d):
+    """The infinitesimal-character check as it read on `CharMultiset`s."""
+    n_r0 = sum(d.target_q.blocks[d.r0 - 1])
+    chi_jump = d.chi.alpha2 - d.chi.alpha1
+    entries = [v + chi_jump for v in inf_char_aq(d.source_q, d.source_lambda).entries]
+    entries.extend(centred_string(d.chi.alpha2, n_r0))
+    lifted = CharMultiset(twice=entries).shifted(d.det_shift)
+    return lifted == inf_char_aq(d.target_q, d.target_lambda)
+
+
+def oracle_k_type(d):
+    """(verdict, whether the type map raised HoweBoundError): the K-type
+    check as it read on `Weight`s."""
+    m, s, k, l = d.mslk
+    low = lowest_k_type(d.source_q, d.source_lambda)
+    rx, ry = recentred(low, d.chi.alpha1, d.target_signature)
+    zones_ok = (
+        len(rx) == k + s
+        and len(ry) == m + l
+        and all(v >= 0 for v in rx[:k])
+        and all(v <= 0 for v in rx[k:])
+        and all(v >= 0 for v in ry[:m])
+        and all(v <= 0 for v in ry[m:])
+    )
+    try:
+        mapped = shift(howe_type_map(low, d.target_signature, d.chi), d.det_shift)
+    except HoweBoundError:
+        mapped = None
+    target = lowest_k_type(d.target_q, d.target_lambda)
+    return zones_ok and mapped == target, mapped is None
+
+
+def tamperings(d):
+    """Copies of d with one field changed: one source lambda entry +-1
+    (where the values stay weakly decreasing), alpha1 +-2, det_shift +-1,
+    mslk in every other order and with one slot moved across the k|s or
+    the m|l zone boundary, and target_q moved to U(6,0), to U(1,0) and
+    to its mirror image, every block (a_i, b_i) read as (b_i, a_i)."""
+    values = d.source_lambda.values
+    for i in range(len(values)):
+        for step in (1, -1):
+            moved = values[:i] + (values[i] + step,) + values[i + 1 :]
+            if all(x >= y for x, y in zip(moved, moved[1:])):
+                yield tampered(d, source_lambda=LambdaCharacter(moved))
+    chi = d.chi
+    for step in (2, -2):
+        yield tampered(d, chi=ChiPair(chi.alpha1 + step, chi.alpha2, chi.n, chi.n_prime))
+        yield tampered(d, det_shift=half(d.det_shift.twice + step))
+    m, s, k, l = d.mslk
+    moved = {(m, s - 1, k + 1, l), (m, s + 1, k - 1, l), (m + 1, s, k, l - 1), (m - 1, s, k, l + 1)}
+    for order in sorted(set(permutations(d.mslk)) - {d.mslk} | moved):
+        yield tampered(d, mslk=order)
+    yield tampered(d, target_q=ThetaStableAlgebra([(6, 0)]))
+    yield tampered(d, target_q=ThetaStableAlgebra([(1, 0)]))
+    yield tampered(d, target_q=ThetaStableAlgebra([(b, a) for a, b in d.target_q.blocks]))
+
+
+def outcome(check, d):
+    """The check's verdict, or the type and message of what it raised."""
+    try:
+        return check(d)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_checks_on_doubled_ints_match_the_value_object_oracles():
+    """`verify_parameter_identity`, `verify_inf_char` and `verify_k_type`
+    give the verdict of the value-object checks they replaced, or raise
+    what those raised, on the 32,800 data of the a+b <= 5 family (every
+    r0, lambda in [-2, 2], both alpha1 parities) and on every tampering of
+    the 1,980 data of its a+b <= 4, lambda in [-1, 1] part.  Each check
+    meets both verdicts and a raised exception, the parameter check raises
+    ValueError where n' >= n, and the type map's HoweBoundError reads as
+    False.  About 10 s on 2 CPUs."""
+    start = time.perf_counter()
+    pairs = (
+        ("parameter", verify_parameter_identity, oracle_parameter),
+        ("inf_char", verify_inf_char, oracle_inf_char),
+        ("k_type", verify_k_type, lambda d: oracle_k_type(d)[0]),
+    )
+    tally, howe_false, data = Counter(), 0, 0
+
+    def compare(d):
+        nonlocal howe_false
+        for name, check, oracle in pairs:
+            got = outcome(check, d)
+            assert got == outcome(oracle, d), (name, d)
+            tally[name, str(got) if isinstance(got, bool) else got[0]] += 1
+        howe = outcome(oracle_k_type, d)
+        howe_false += howe == (False, True)
+
+    for q, lam, r0, chi in every_r0_data(5, range(2, -3, -1)):
+        compare(build_source(q, lam, r0, chi))
+        data += 1
+    for q, lam, r0, chi in every_r0_data(4, range(1, -2, -1)):
+        for d in tamperings(build_source(q, lam, r0, chi)):
+            compare(d)
+            data += 1
+    elapsed = time.perf_counter() - start
+    print(f"{data} data, {elapsed:.1f}s: {sorted(tally.items())}, HoweBoundError {howe_false}")
+    for name, _, _ in pairs:
+        assert tally[name, "True"] and tally[name, "False"] and tally[name, "AlignmentError"], name
+    assert tally["parameter", "ValueError"] and howe_false
 
 
 def test_stable_range_criterion():
