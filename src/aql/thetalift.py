@@ -348,12 +348,6 @@ def verify_min_degree(d: LiftDatum, bound: int = DEFAULT_BOUND) -> bool:
     return _min_degree_check(d, bound)[0]
 
 
-def _weight(coordinates: Tuple[List[int], List[int]]) -> Weight:
-    """The `Weight` of an (x, y) pair of doubled coordinate lists."""
-    xs, ys = coordinates
-    return Weight(tuple(xs), tuple(ys))
-
-
 def full_report(
     q: ThetaStableAlgebra,
     lam=None,
@@ -372,9 +366,9 @@ def full_report(
         "twisted_target_parameter": ParameterRestriction(twice=twisted_param).to_json(),
         "lifted_inf_char": CharMultiset(twice=lifted_inf).to_json(),
         "target_inf_char": CharMultiset(twice=target_inf).to_json(),
-        "source_lowest_k_type": _weight(src_low).to_json(),
-        "mapped_k_type": None if mapped is None else _weight(mapped).to_json(),
-        "target_lowest_k_type": _weight(tgt_low).to_json(),
+        "source_lowest_k_type": Weight(*map(tuple, src_low)).to_json(),
+        "mapped_k_type": None if mapped is None else Weight(*map(tuple, mapped)).to_json(),
+        "target_lowest_k_type": Weight(*map(tuple, tgt_low)).to_json(),
         "min_degree": {
             "lowest_k_type_degree": format_twice(base_degree),
             "cone_minimum": format_twice(min(degrees, default=base_degree)),
