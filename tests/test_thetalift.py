@@ -436,8 +436,8 @@ def every_r0_data(max_total, lambda_values):
 def test_full_report_bytes_are_pinned():
     """The sha256 of the sorted-key `full_report` JSON lines of the 1,980 data
     of the a+b <= 4 family (every r0, lambda in [-1, 1], both alpha1
-    parities, bound 2), recorded before the checks moved to doubled ints.
-    About 0.5 s on 2 CPUs."""
+    parities, bound 2): the report's bytes do not depend on how the checks
+    compute.  About 0.5 s on 2 CPUs."""
     digest, count = hashlib.sha256(), 0
     for q, lam, r0, chi in every_r0_data(4, range(1, -2, -1)):
         doc = full_report(q, lam, r0, chi, 2).to_json()
@@ -448,14 +448,16 @@ def test_full_report_bytes_are_pinned():
 
 
 def oracle_parameter(d):
-    """The parameter check as it read on `ParameterRestriction`s."""
+    """The parameter check on `ParameterRestriction`s: the oracle of
+    `verify_parameter_identity`."""
     lifted = theta_lift_param(psi_lambda_q(d.source_q, d.source_lambda), d.chi, d.target_q.total)
     twisted = twist_twice(psi_lambda_q(d.target_q, d.target_lambda), -d.det_shift.twice)
     return lifted == twisted
 
 
 def oracle_inf_char(d):
-    """The infinitesimal-character check as it read on `CharMultiset`s."""
+    """The infinitesimal-character check on `CharMultiset`s: the oracle of
+    `verify_inf_char`."""
     n_r0 = sum(d.target_q.blocks[d.r0 - 1])
     chi_jump = d.chi.alpha2 - d.chi.alpha1
     entries = [v + chi_jump for v in inf_char_aq(d.source_q, d.source_lambda).entries]
@@ -466,7 +468,7 @@ def oracle_inf_char(d):
 
 def oracle_k_type(d):
     """(verdict, whether the type map raised HoweBoundError): the K-type
-    check as it read on `Weight`s."""
+    check on `Weight`s, the oracle of `verify_k_type`."""
     m, s, k, l = d.mslk
     low = lowest_k_type(d.source_q, d.source_lambda)
     rx, ry = recentred(low, d.chi.alpha1, d.target_signature)
@@ -521,13 +523,13 @@ def outcome(check, d):
 
 def test_checks_on_doubled_ints_match_the_value_object_oracles():
     """`verify_parameter_identity`, `verify_inf_char` and `verify_k_type`
-    give the verdict of the value-object checks they replaced, or raise
-    what those raised, on the 32,800 data of the a+b <= 5 family (every
+    give the verdict of their value-object oracles, or raise what those
+    raise, on the 32,800 data of the a+b <= 5 family (every
     r0, lambda in [-2, 2], both alpha1 parities) and on every tampering of
     the 1,980 data of its a+b <= 4, lambda in [-1, 1] part.  Each check
     meets both verdicts and a raised exception, the parameter check raises
     ValueError where n' >= n, and the type map's HoweBoundError reads as
-    False.  About 10 s on 2 CPUs."""
+    False.  About 11 s on 2 CPUs."""
     start = time.perf_counter()
     pairs = (
         ("parameter", verify_parameter_identity, oracle_parameter),
