@@ -376,7 +376,7 @@ def _cone(q: ThetaStableAlgebra, base: Weight, bound: int, chi1_alpha: int, fram
         )
     b = q.signature[1]
     moves = [(i - 1, b - j, 2 * sign) for sign, i, j in delta_u_p(q)] if bound else []
-    cx, cy = _centres(base, chi1_alpha, frame)
+    cx, cy = _frame_centres(chi1_alpha, frame if frame is not None else base.signature)
     seen = {base: degree_twice(base, chi1_alpha, frame)}
     frontier = list(seen.items())
     for _ in range(bound if moves else 0):  # no roots: the base point is the cone
@@ -447,17 +447,13 @@ def recentred(
     and (b-a)/2 on the y-part, where (a, b) is the partner signature
     (`frame`).  With no partner given, the weight's own signature is used.
     """
-    cx, cy = _centres(w, chi1_alpha, frame)
+    cx, cy = _frame_centres(chi1_alpha, frame if frame is not None else w.signature)
     return [v - cx for v in w.x], [v - cy for v in w.y]
 
 
-def _centres(w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]]) -> Tuple[int, int]:
-    """The doubled centres that `recentred` subtracts from w.x and w.y."""
-    return _frame_centres(chi1_alpha, frame if frame is not None else w.signature)
-
-
 def _frame_centres(alpha: int, frame: Tuple[int, int]) -> Tuple[int, int]:
-    """The doubled centres alpha + (a - b) and alpha + (b - a) of the frame (a, b)."""
+    """The doubled centres alpha + (a - b) and alpha + (b - a) of the frame (a, b):
+    what `recentred` subtracts from a weight's x- and y-coordinates."""
     fa, fb = frame
     return alpha + (fa - fb), alpha + (fb - fa)
 
@@ -465,7 +461,7 @@ def _frame_centres(alpha: int, frame: Tuple[int, int]) -> Tuple[int, int]:
 def degree_twice(w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]] = None) -> int:
     """Twice the Fock-space degree of a weight relative to a dual-pair
     partner: the sum of the absolute recentred coordinates."""
-    cx, cy = _centres(w, chi1_alpha, frame)
+    cx, cy = _frame_centres(chi1_alpha, frame if frame is not None else w.signature)
     return sum([abs(v - cx) for v in w.x]) + sum([abs(v - cy) for v in w.y])
 
 

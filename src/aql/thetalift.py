@@ -25,12 +25,11 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .halfint import CharMultiset, Frozen, HalfInt, Weight, format_twice, half
-from .arthur import ChiPair, ParameterRestriction, ParityError, _lifted, _twisted
+from .arthur import ChiPair, ParameterRestriction, _lifted, _twisted
 from .parabolic import (
     LambdaCharacter,
     ThetaStableAlgebra,
     _as_lambda,
-    _centres,
     _cone,
     _frame_centres,
     _inf_char_twice,
@@ -78,21 +77,22 @@ class LiftDatum(Frozen):
     def to_json(self) -> dict:
         m, s, k, l = self.mslk
         return {
-            "target": {
-                "blocks": [list(b) for b in self.target_q.blocks],
-                "lambda": list(self.target_lambda.values),
-                "signature": dict(zip(("a", "b"), self.target_signature)),
-            },
+            "target": _side_json(self.target_q, self.target_lambda),
             "r0": self.r0,
             "chi": self.chi.to_json(),
-            "source": {
-                "blocks": [list(b) for b in self.source_q.blocks],
-                "lambda": list(self.source_lambda.values),
-                "signature": dict(zip(("a", "b"), self.source_signature)),
-            },
+            "source": _side_json(self.source_q, self.source_lambda),
             "det_shift": str(self.det_shift),
             "mslk": {"m": m, "s": s, "k": k, "l": l},
         }
+
+
+def _side_json(q: ThetaStableAlgebra, lam: LambdaCharacter) -> dict:
+    """One side of `LiftDatum.to_json`: blocks, character and signature."""
+    return {
+        "blocks": [list(b) for b in q.blocks],
+        "lambda": list(lam.values),
+        "signature": dict(zip(("a", "b"), q.signature)),
+    }
 
 
 class LiftReport(Frozen):
@@ -165,9 +165,9 @@ def build_source(
     """Build the source datum for (q, lambda) at the distinguished block r0.
 
     The source keeps the blocks before r0 and reflects the ones after it;
-    its character is shifted block by block so that the lifted parameter
-    matches the target up to one det twist.  The source block list is kept
-    unmerged so the shifted character stays aligned.
+    its character is shifted by one amount on each side of r0 so that the
+    lifted parameter matches the target up to one det twist.  The source
+    block list is kept unmerged so the shifted character stays aligned.
     """
     lam = _as_lambda(q, lam)
     if r0 is None:
@@ -187,15 +187,12 @@ def build_source(
         m += bi
     s, l = source_q.signature[0] - k, source_q.signature[1] - m
     m_r0 = n_prime - 2 * (k + m)
-    lam_r0 = lam.values[r0 - 1]
-    lam_prime: List[int] = []
-    for i, lam_i in enumerate(lam.values, start=1):
-        if i == r0:
-            continue
-        offset = (n_r0 if i < r0 else -n_r0) - m_r0 + chi.alpha1
-        if offset % 2 != 0:
-            raise ParityError(f"shifted character is not integral (offset {offset})")
-        lam_prime.append(lam_i - lam_r0 + offset // 2)
+    values = lam.values
+    lam_r0 = values[r0 - 1]
+    # ChiPair pins alpha1 = n (mod 2) and m_r0 = n' (mod 2), so each side's
+    # offset alpha1 - m_r0 +- n_r0 is even and the source character integral
+    after = (chi.alpha1 - m_r0 - n_r0) // 2 - lam_r0
+    lam_prime = [v + after + n_r0 for v in values[: r0 - 1]] + [v + after for v in values[r0:]]
 
     return LiftDatum(
         target_q=q,
@@ -232,9 +229,10 @@ def verify_parameter_identity(d: LiftDatum) -> bool:
 
 def _inf_char_check(d: LiftDatum):
     """(verdict, lifted source infinitesimal character, target one), each a
-    sorted list of doubled entries."""
+    sorted list of doubled entries.  The removed block has n - n' slots, so
+    a datum with n' >= n is False."""
     source, target, chi, det = d.source_q, d.target_q, d.chi, d.det_shift.twice
-    n_r0 = sum(target.blocks[d.r0 - 1])
+    n_r0 = target.total - source.total
     jump = chi.alpha2 - chi.alpha1 + det
     lifted = [
         v + jump for v in _inf_char_twice(source.blocks, _as_lambda(source, d.source_lambda).values)
@@ -243,7 +241,7 @@ def _inf_char_check(d: LiftDatum):
     entries = _inf_char_twice(target.blocks, _as_lambda(target, d.target_lambda).values)
     lifted.sort()
     entries.sort()
-    return lifted == entries, lifted, entries
+    return n_r0 > 0 and lifted == entries, lifted, entries
 
 
 def verify_inf_char(d: LiftDatum) -> bool:
@@ -270,7 +268,7 @@ def howe_type_map(mu_prime: Weight, target_sig: Tuple[int, int], chi: ChiPair) -
     chi2/2 and half the source signature difference.
     """
     rx, ry = recentred(mu_prime, chi.alpha1, target_sig)
-    out_x, out_y = _howe_image(rx, ry, target_sig, _centres(mu_prime, chi.alpha2, None))
+    out_x, out_y = _howe_image(rx, ry, target_sig, _frame_centres(chi.alpha2, mu_prime.signature))
     return Weight(tuple(out_x), tuple(out_y))
 
 

@@ -157,6 +157,14 @@ def test_exit_code_two_on_bad_input(capsys):
         assert out == ""
 
 
+def test_lift_construct_refuses_a_chi1_of_the_wrong_parity(capsys):
+    """`ChiPair` refuses alpha1 of the wrong parity, so `build_source`,
+    whose shift is integral only for alpha1 = n (mod 2), never sees it."""
+    code, out, err = run_cli(capsys, "lift", "construct", "--blocks", "1,0;1,1", "--chi", "0,1")
+    assert (code, out) == (2, "")
+    assert err == "error: alpha(chi1)=0 must have the parity of n=3\n"
+
+
 def test_negative_values_attach_with_equals(capsys):
     code, out, _ = run_cli(capsys, "aq", "--blocks", "1,0;0,1", "--lambda=-1,-2")
     assert code == 0

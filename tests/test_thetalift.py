@@ -5,6 +5,7 @@ from collections import Counter
 from itertools import combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aql.arthur import (
     ChiPair,
@@ -458,7 +459,7 @@ def oracle_parameter(d):
 def oracle_inf_char(d):
     """The infinitesimal-character check on `CharMultiset`s: the oracle of
     `verify_inf_char`."""
-    n_r0 = sum(d.target_q.blocks[d.r0 - 1])
+    n_r0 = d.target_q.total - d.source_q.total
     chi_jump = d.chi.alpha2 - d.chi.alpha1
     entries = [v + chi_jump for v in inf_char_aq(d.source_q, d.source_lambda).entries]
     entries.extend(centred_string(d.chi.alpha2, n_r0))
@@ -559,6 +560,82 @@ def test_checks_on_doubled_ints_match_the_value_object_oracles():
     for name, _, _ in pairs:
         assert tally[name, "True"] and tally[name, "False"] and tally[name, "AlignmentError"], name
     assert tally["parameter", "ValueError"] and howe_false
+
+
+class Untouchable:
+    """An r0 that raises on any use: arithmetic, comparison, indexing,
+    hashing, truth and printing."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a check read r0")
+
+    __index__ = __int__ = __bool__ = __hash__ = __eq__ = __ne__ = _refuse
+    __lt__ = __le__ = __gt__ = __ge__ = __neg__ = __str__ = __format__ = _refuse
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+
+
+def test_no_check_reads_r0():
+    """r0 is a label: the removed block's size is n - n'.  The r0 = 2 data
+    of (1,0);(2,2);(0,1) relabelled to r0 = 0, 1, 3, 4 or -1 still pass the
+    infinitesimal-character check, and with an r0 that raises on any use
+    all four checks give the r0 = 2 verdicts."""
+    q = alg((1, 0), (2, 2), (0, 1))
+    checks = (verify_parameter_identity, verify_inf_char, verify_k_type, verify_min_degree)
+    for lam in [(0, 0, 0), (3, 1, -2), (2, 2, 0)]:
+        d = build_source(q, lam, 2, None)
+        verdicts = [check(d) for check in checks]
+        assert verdicts[1], lam
+        for r0 in (0, 1, 3, 4, -1):
+            assert verify_inf_char(tampered(d, r0=r0)), (lam, r0)
+        assert [check(tampered(d, r0=Untouchable())) for check in checks] == verdicts
+
+
+def test_inf_char_check_refuses_a_source_as_large_as_its_target():
+    """A datum whose source is its own target (n' = n) removes no block, so
+    it is no lift, even with a det shift that cancels the chi jump and so
+    makes the two entry lists equal."""
+    d = build_source(alg((1, 0), (2, 2), (0, 1)), (3, 1, -2), 2, None)
+    same = tampered(
+        d,
+        source_q=d.target_q,
+        source_lambda=d.target_lambda,
+        det_shift=half(d.chi.alpha1 - d.chi.alpha2),
+    )
+    assert not verify_inf_char(same)
+    with pytest.raises(ValueError, match="target must be strictly larger"):
+        verify_parameter_identity(same)
+
+
+@st.composite
+def raw_lift_inputs(draw):
+    """(blocks, lambda, r0, chi) for a raw block list with a+b <= 10 (split
+    pure blocks allowed), any r0, alpha1 in {n mod 2, n mod 2 +- 2}, alpha2 =
+    n' mod 2 and lambda in [-3, 3]."""
+    blocks, left = [], 10
+    while left and (not blocks or draw(st.booleans())):
+        ai = draw(st.integers(0, left))
+        bi = draw(st.integers(0 if ai else 1, left - ai))
+        blocks.append((ai, bi))
+        left -= ai + bi
+    r0 = draw(st.integers(1, len(blocks)))
+    lam = sorted(draw(st.lists(st.integers(-3, 3), min_size=len(blocks), max_size=len(blocks))))
+    n = 10 - left
+    n_prime = n - sum(blocks[r0 - 1])
+    alpha1 = n % 2 + draw(st.sampled_from((0, 2, -2)))
+    return blocks, lam[::-1], r0, (alpha1, n_prime % 2)
+
+
+@given(raw_lift_inputs())
+def test_build_source_shifts_lambda_to_an_integral_dominant_character(inputs):
+    """ChiPair pins alpha1 = n (mod 2), so each side's offset in
+    `build_source` is even: the source character is integral and weakly
+    decreasing, and no ParityError is raised, whatever the block list and r0."""
+    blocks, lam, r0, chi = inputs
+    d = build_source(ThetaStableAlgebra(blocks), lam, r0, chi)
+    values = d.source_lambda.values
+    assert len(values) == len(blocks) - 1
+    assert all(type(v) is int for v in values)
+    assert all(x >= y for x, y in zip(values, values[1:]))
 
 
 def test_stable_range_criterion():
