@@ -9,7 +9,7 @@ certificates, found by a backward walk with no choices or generated
 forward for a whole frame.
 """
 
-from .halfint import CharMultiset, HalfInt, Weight, format_twice, half, multiset_of, shift, twice_of
+from .halfint import CharMultiset, HalfInt, Weight, format_twice, half, twice_of
 from .partitions import (
     FrameError,
     FramedPair,
@@ -37,7 +37,6 @@ from .parabolic import (
     k_types_bounded,
     lowest_k_type,
     partitions_from_blocks,
-    root_of,
     two_rho_up,
 )
 from .arthur import (

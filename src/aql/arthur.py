@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence, Tuple
 
 from .halfint import CharMultiset, Frozen, HalfIntLike, exact_int, format_twice, twice_of
-from .parabolic import ThetaStableAlgebra, _as_lambda, _summands, centred_string, m_coeffs
+from .parabolic import ThetaStableAlgebra, _as_lambda, _inf_char_twice, _summands, m_coeffs
 
 
 class ParityError(ValueError):
@@ -85,10 +85,7 @@ class ChiPair(Frozen):
 def inf_char_param(psi: ParameterRestriction) -> CharMultiset:
     """Infinitesimal character of a parameter: each summand (k, n)
     contributes the n-term string k + (n-1)/2, ..., k - (n-1)/2."""
-    entries = []
-    for k, n in psi.summands:
-        entries.extend(centred_string(k, n))
-    return CharMultiset(twice=entries)
+    return CharMultiset(twice=_inf_char_twice(psi.summands))
 
 
 def parity_check(ks: Sequence[HalfIntLike], q: ThetaStableAlgebra) -> bool:

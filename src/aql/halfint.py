@@ -13,7 +13,7 @@ a and a y-part of length b, matching the diagonal Cartan of U(a) x U(b).
 from __future__ import annotations
 
 from functools import total_ordering
-from operator import add, attrgetter
+from operator import attrgetter
 from typing import Iterable, Tuple, Union
 
 
@@ -97,10 +97,6 @@ class HalfInt(Frozen):
     def parse(cls, text: str) -> "HalfInt":
         """Parse "p" or "p/2" with p/2 in lowest terms."""
         return cls.from_twice(twice_of(text))
-
-    @property
-    def is_integral(self) -> bool:
-        return self.twice % 2 == 0
 
     def __eq__(self, other):
         if isinstance(other, HalfInt):
@@ -188,11 +184,6 @@ class Weight(Frozen):
             p >= q for p, q in zip(self.y, self.y[1:])
         )
 
-    def __add__(self, other: "Weight") -> "Weight":
-        if len(self.x) != len(other.x) or len(self.y) != len(other.y):
-            raise ValueError("signature mismatch")
-        return Weight(tuple(map(add, self.x, other.x)), tuple(map(add, self.y, other.y)))
-
     def to_json(self) -> dict:
         return {
             "a": len(self.x),
@@ -207,12 +198,6 @@ class Weight(Frozen):
         if w.signature != (doc["a"], doc["b"]):
             raise ValueError("signature does not match coordinate lists")
         return w
-
-
-def shift(w: Weight, c: HalfIntLike) -> Weight:
-    """Add the same constant to every coordinate (a det-power twist)."""
-    c = twice_of(c)
-    return Weight(tuple(v + c for v in w.x), tuple(v + c for v in w.y))
 
 
 class CharMultiset(Frozen):
@@ -234,14 +219,5 @@ class CharMultiset(Frozen):
     def __iter__(self):
         return map(half, self.entries)
 
-    def shifted(self, c: HalfIntLike) -> "CharMultiset":
-        c = twice_of(c)
-        return CharMultiset(twice=(v + c for v in self.entries))
-
     def to_json(self) -> list:
         return [format_twice(v) for v in self.entries]
-
-
-def multiset_of(w: Weight) -> CharMultiset:
-    """Flatten a weight to its coordinate multiset."""
-    return CharMultiset(twice=w.x + w.y)

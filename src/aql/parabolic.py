@@ -246,16 +246,6 @@ def delta_u_p(q: ThetaStableAlgebra) -> Tuple[Tuple[int, int, int], ...]:
     return tuple(plus + minus)
 
 
-def root_of(cell: Tuple[int, int, int], a: int, b: int) -> Weight:
-    """The weight-lattice vector of a signed cell: sign * (x_i - y_{b+1-j})."""
-    sign, i, j = cell
-    xs = [0] * a
-    ys = [0] * b
-    xs[i - 1] = 2 * sign
-    ys[b - j] = -2 * sign
-    return Weight(tuple(xs), tuple(ys))
-
-
 def cohomological_degree(q: ThetaStableAlgebra) -> Tuple[int, int, int]:
     """(R, R+, R-): dim of the noncompact nilradical and its split.  R+
     counts the cells of alpha and R- the cells of the a x b frame outside
@@ -313,14 +303,16 @@ def inf_char_aq(q: ThetaStableAlgebra, lam=None) -> CharMultiset:
     blocks.  This closed form already incorporates the half-sum for the
     Levi, so no positive system is ever chosen.
     """
-    return CharMultiset(twice=_inf_char_twice(q.blocks, _as_lambda(q, lam).values))
+    return CharMultiset(twice=_inf_char_twice(_summands(q.blocks, _as_lambda(q, lam).values)))
 
 
-def _inf_char_twice(blocks: Sequence[Tuple[int, int]], values: Sequence[int]) -> List[int]:
-    """The doubled entries of `inf_char_aq`, unsorted: the string of each summand."""
+def _inf_char_twice(summands: Iterable[Tuple[int, int]]) -> List[int]:
+    """The doubled entries of the infinitesimal character of the doubled
+    summands (2k, n), unsorted: each summand's n-term `centred_string` about k.
+    `inf_char_aq`, `inf_char_param` and the lift's check all read it."""
     entries: List[int] = []
-    for k, n_i in _summands(blocks, values):
-        entries += centred_string(k, n_i)
+    for k, n in summands:
+        entries += centred_string(k, n)
     return entries
 
 

@@ -36,7 +36,6 @@ from .parabolic import (
     _lowest_k_type_twice,
     _source_algebra,
     _summands,
-    centred_string,
     lowest_k_type,
     recentred,
 )
@@ -233,12 +232,13 @@ def _inf_char_check(d: LiftDatum):
     a datum with n' >= n is False."""
     source, target, chi, det = d.source_q, d.target_q, d.chi, d.det_shift.twice
     n_r0 = target.total - source.total
-    jump = chi.alpha2 - chi.alpha1 + det
-    lifted = [
-        v + jump for v in _inf_char_twice(source.blocks, _as_lambda(source, d.source_lambda).values)
-    ]
-    lifted += centred_string(chi.alpha2 + det, n_r0)
-    entries = _inf_char_twice(target.blocks, _as_lambda(target, d.target_lambda).values)
+    summands = _twisted(
+        _summands(source.blocks, _as_lambda(source, d.source_lambda).values),
+        chi.alpha2 - chi.alpha1 + det,
+    )
+    summands.append((chi.alpha2 + det, n_r0))  # no string at all when n_r0 <= 0
+    lifted = _inf_char_twice(summands)
+    entries = _inf_char_twice(_summands(target.blocks, _as_lambda(target, d.target_lambda).values))
     lifted.sort()
     entries.sort()
     return n_r0 > 0 and lifted == entries, lifted, entries

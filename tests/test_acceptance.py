@@ -6,7 +6,6 @@ The expensive lift-identity family (criteria 2-6) is computed once and
 shared.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -18,7 +17,7 @@ import pytest
 
 from aql.arthur import inf_char_param, psi_lambda_q
 from aql.convergence import is_convergent, validate_certificate
-from aql.halfint import CharMultiset, Weight, half
+from aql.halfint import CharMultiset, half
 from aql.parabolic import (
     LambdaCharacter,
     ThetaStableAlgebra,
@@ -26,10 +25,8 @@ from aql.parabolic import (
     cohomological_degree,
     delta_u_p,
     enumerate_packet,
-    enumerate_standard,
     inf_char_aq,
     partitions_from_blocks,
-    root_of,
     two_rho_up,
 )
 from aql.partitions import enumerate_compatible
@@ -42,6 +39,8 @@ from aql.thetalift import (
     verify_parameter_identity,
 )
 
+from oracles import all_standard, dense_root_sum
+
 GOLDEN = Path(__file__).parent / "golden"
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 MAX_TOTAL = 6
@@ -52,12 +51,6 @@ def report(number, name, ok, detail):
     line = f"ACCEPTANCE {number} [{name}]: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line, flush=True)
     assert ok, line
-
-
-def all_standard(max_total):
-    for n in range(1, max_total + 1):
-        for a in range(n + 1):
-            yield from enumerate_standard(a, n - a)
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +76,7 @@ def lift_family():
     lam_choices = {}
     t_start = time.perf_counter()
     mindeg_total = 0.0
-    for q in all_standard(MAX_TOTAL):
+    for q in all_standard(MAX_TOTAL, 1):
         r = q.r
         lams = lam_choices.get(r)
         if lams is None:
@@ -221,17 +214,14 @@ def test_criterion_6_minimal_degree(lift_family):
 
 def test_criterion_7_structural_identities():
     checked = 0
-    for q in all_standard(MAX_TOTAL):
+    for q in all_standard(MAX_TOTAL, 1):
         a, b = q.signature
         pair = partitions_from_blocks(q)
         cells = delta_u_p(q)
         R, R_plus, R_minus = cohomological_degree(q)
         assert R == len(cells)
         assert R == pair.alpha.size() + a * b - pair.beta.size()
-        total = Weight.of([0] * a, [0] * b)
-        for cell in cells:
-            total = total + root_of(cell, a, b)
-        assert total == two_rho_up(q)
+        assert dense_root_sum(q) == two_rho_up(q)
         checked += 1
     report(7, "structural identities", True, f"{checked} algebras, exact")
 
@@ -242,7 +232,7 @@ def test_criterion_8_packets():
         for n in range(1, MAX_TOTAL + 1)
     }
     checked = 0
-    for q in all_standard(5):
+    for q in all_standard(5, 1):
         for lam in (LambdaCharacter.zero(q), LambdaCharacter(range(q.r, 0, -1))):
             packet = enumerate_packet(q, lam)
             assert (q, lam) in packet
@@ -264,7 +254,7 @@ def test_criterion_9_convergence():
 
     compact_checked = 0
     replayed = 0
-    for q in all_standard(MAX_TOTAL):
+    for q in all_standard(MAX_TOTAL, 1):
         if q.has_compact_levi:
             ok, cert = is_convergent(q)
             assert ok and cert.length == 0

@@ -12,11 +12,9 @@ from aql.arthur import (
     twist,
 )
 from aql.halfint import CharMultiset, half
-from aql.parabolic import ThetaStableAlgebra, enumerate_standard, inf_char_aq
+from aql.parabolic import inf_char_aq
 
-
-def alg(*blocks):
-    return ThetaStableAlgebra(blocks)
+from oracles import alg, all_standard, shifted
 
 
 def psi(*summands):
@@ -65,11 +63,9 @@ def test_parity_check_examples():
 
 
 def test_parity_of_half_m_coeffs():
-    for n in range(1, 7):
-        for a in range(n + 1):
-            for q in enumerate_standard(a, n - a):
-                ks = [half(m) for m in m_coeffs(q)]
-                assert parity_check(ks, q)
+    for q in all_standard(6, 1):
+        ks = [half(m) for m in m_coeffs(q)]
+        assert parity_check(ks, q)
 
 
 def test_psi_lambda_q_examples():
@@ -85,7 +81,7 @@ def test_twist_examples():
     p = psi((half(1), 2), (0, 1))
     assert twist(p, 0) == p
     assert twist(psi((half(1), 2)), half(-1)) == psi((0, 2))
-    assert inf_char_param(twist(p, 3)) == inf_char_param(p).shifted(3)
+    assert inf_char_param(twist(p, 3)) == shifted(inf_char_param(p), 3)
 
 
 def test_chi_pair_parities():
@@ -119,9 +115,7 @@ def test_theta_lift_preserves_shifted_summands():
 
 def test_inf_char_consistency_lemma_small():
     """Parameter route and block route give the same infinitesimal character."""
-    for n in range(1, 5):
-        for a in range(n + 1):
-            for q in enumerate_standard(a, n - a):
-                for top in (0, 2):
-                    lam = tuple(range(top + q.r - 1, top - 1, -1))
-                    assert inf_char_param(psi_lambda_q(q, lam)) == inf_char_aq(q, lam)
+    for q in all_standard(4, 1):
+        for top in (0, 2):
+            lam = tuple(range(top + q.r - 1, top - 1, -1))
+            assert inf_char_param(psi_lambda_q(q, lam)) == inf_char_aq(q, lam)

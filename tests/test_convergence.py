@@ -27,15 +27,7 @@ from aql.parabolic import (
 from aql.partitions import FrameError
 from aql.thetalift import build_source
 
-
-def alg(*blocks):
-    return ThetaStableAlgebra(blocks)
-
-
-def standard_algebras(max_n):
-    for n in range(max_n + 1):
-        for a in range(n + 1):
-            yield from enumerate_standard(a, n - a)
+from oracles import alg, all_standard
 
 
 @lru_cache(maxsize=None)
@@ -75,13 +67,13 @@ def assert_matches_oracle(q):
 
 
 def test_matches_oracle_on_standard_algebras():
-    for q in standard_algebras(9):
+    for q in all_standard(9):
         assert_matches_oracle(q)
 
 
 def test_matches_oracle_on_raw_packet_members():
     raw = 0
-    for q in standard_algebras(6):
+    for q in all_standard(6):
         for member, _ in enumerate_packet(q):
             raw += not member.is_canonical
             assert_matches_oracle(member)
@@ -119,12 +111,10 @@ def test_predecessor_examples():
 
 
 def test_predecessor_matches_build_source():
-    for n in range(1, 6):
-        for a in range(n + 1):
-            for q in enumerate_standard(a, n - a):
-                for r0 in range(1, q.r + 1):
-                    d = build_source(q, None, r0, None)
-                    assert d.source_q.canonicalize() == predecessor(q, r0)
+    for q in all_standard(5, 1):
+        for r0 in range(1, q.r + 1):
+            d = build_source(q, None, r0, None)
+            assert d.source_q.canonicalize() == predecessor(q, r0)
 
 
 def test_compact_levi_is_convergent_with_empty_chain():
@@ -159,23 +149,19 @@ def test_trivial_representation_chain_from_empty_base():
 
 
 def test_certificates_replay_everywhere():
-    for n in range(0, 7):
-        for a in range(n + 1):
-            for q in enumerate_standard(a, n - a):
-                for lax in (False, True):
-                    ok, cert = is_convergent(q, lax)
-                    if ok:
-                        assert validate_certificate(cert, q) == []
+    for q in all_standard(6):
+        for lax in (False, True):
+            ok, cert = is_convergent(q, lax)
+            if ok:
+                assert validate_certificate(cert, q) == []
 
 
 def test_lax_is_weaker_than_strict():
-    for n in range(0, 7):
-        for a in range(n + 1):
-            for q in enumerate_standard(a, n - a):
-                strict_ok, _ = is_convergent(q)
-                lax_ok, _ = is_convergent(q, lax=True)
-                if strict_ok:
-                    assert lax_ok
+    for q in all_standard(6):
+        strict_ok, _ = is_convergent(q)
+        lax_ok, _ = is_convergent(q, lax=True)
+        if strict_ok:
+            assert lax_ok
 
 
 def test_validate_rejects_tampered_certificate():
@@ -192,15 +178,13 @@ def test_chain_length_is_logarithmic():
     """Backward sizes strictly more than halve, so chains stay short."""
     import math
 
-    for n in range(1, 7):
-        for a in range(n + 1):
-            for q in enumerate_standard(a, n - a):
-                ok, cert = is_convergent(q)
-                if ok and cert.length:
-                    assert cert.length <= math.log2(n) + 1
-                    sizes = [sum(sig) for sig in cert.signature_chain()]
-                    for lower, upper in zip(sizes, sizes[1:]):
-                        assert upper > 2 * lower
+    for q in all_standard(6, 1):
+        ok, cert = is_convergent(q)
+        if ok and cert.length:
+            assert cert.length <= math.log2(q.total) + 1
+            sizes = [sum(sig) for sig in cert.signature_chain()]
+            for lower, upper in zip(sizes, sizes[1:]):
+                assert upper > 2 * lower
 
 
 def test_li_family_one_step_chains():
@@ -208,24 +192,21 @@ def test_li_family_one_step_chains():
     the total size and the rest inside min(a,b), lifts from a compact base
     in one step."""
     found = 0
-    for n in range(2, 7):
-        for a in range(n + 1):
-            for q in enumerate_standard(a, n - a):
-                mixed = [i for i, (ai, bi) in enumerate(q.blocks) if ai and bi]
-                if len(mixed) != 1:
-                    continue
-                i = mixed[0]
-                x, y = q.blocks[i]
-                others = q.total - (x + y)
-                sig = q.signature
-                if 2 * (x + y) <= n or others > min(sig):
-                    continue
-                found += 1
-                ok, cert = is_convergent(q)
-                assert ok, q
-                pred = predecessor(q, i + 1)
-                assert pred.has_compact_levi
-                assert sum(pred.signature) * 2 < n
+    for q in all_standard(6, 2):
+        mixed = [i for i, (ai, bi) in enumerate(q.blocks) if ai and bi]
+        if len(mixed) != 1:
+            continue
+        i = mixed[0]
+        x, y = q.blocks[i]
+        others = q.total - (x + y)
+        if 2 * (x + y) <= q.total or others > min(q.signature):
+            continue
+        found += 1
+        ok, cert = is_convergent(q)
+        assert ok, q
+        pred = predecessor(q, i + 1)
+        assert pred.has_compact_levi
+        assert sum(pred.signature) * 2 < q.total
     assert found > 10
 
 

@@ -12,8 +12,7 @@ exit code and stdout.  The recorded sweep is
 import gzip
 from pathlib import Path
 
-from aql.parabolic import enumerate_standard
-
+from oracles import all_standard
 from test_sweep import record
 
 GOLDEN = Path(__file__).parent / "golden" / "convergence_u6.txt.gz"
@@ -24,10 +23,8 @@ def sweep_argvs():
         for n in range(1, 7):
             for a in range(n + 1):
                 yield ["atlas", "--a", str(a), "--b", str(n - a), "--format", "tsv", *lax]
-        for n in range(1, 6):
-            for a in range(n + 1):
-                for q in enumerate_standard(a, n - a):
-                    yield ["convergence", "check", "--blocks", q.unparse(), *lax]
+        for q in all_standard(5, 1):
+            yield ["convergence", "check", "--blocks", q.unparse(), *lax]
 
 
 def test_convergence_sweep_matches_golden():

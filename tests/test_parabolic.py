@@ -9,7 +9,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from aql.halfint import CharMultiset, Weight, exact_int, half, multiset_of
+from aql.halfint import CharMultiset, Weight, exact_int, half
 from aql.parabolic import (
     MAX_CONE,
     MAX_FRAME,
@@ -32,7 +32,6 @@ from aql.parabolic import (
     packet_size,
     partitions_from_blocks,
     recentred,
-    root_of,
     two_rho_up,
     _rows,
     _standard,
@@ -49,15 +48,7 @@ from aql.partitions import (
 from aql.convergence import atlas, predecessor
 from aql.thetalift import DEFAULT_BOUND, _source_algebra, build_source
 
-
-def alg(*blocks):
-    return ThetaStableAlgebra(blocks)
-
-
-def all_standard(max_total):
-    for n in range(max_total + 1):
-        for a in range(n + 1):
-            yield from enumerate_standard(a, n - a)
+from oracles import add_weights, alg, all_standard, dense_cone, dense_root_sum, root_of
 
 
 def rho_gl(n):
@@ -292,18 +283,29 @@ def test_two_rho_up_examples():
     assert two_rho_up(alg((1, 0), (1, 1), (0, 1))) == Weight.of([2, 1], [-1, -2])
 
 
+def test_dense_root_oracles_by_hand():
+    """The test oracles' dense roots, worked out by hand: a cell inside alpha
+    is x_i - y_{b+1-j}, a cell outside beta its negative."""
+    q = alg((1, 0), (1, 1), (0, 1))
+    assert delta_u_p(q) == ((1, 1, 1), (1, 1, 2), (1, 2, 1))
+    assert [root_of(cell, 2, 2) for cell in delta_u_p(q)] == [
+        Weight.of([1, 0], [0, -1]), Weight.of([1, 0], [-1, 0]), Weight.of([0, 1], [0, -1])
+    ]
+    assert dense_root_sum(q) == Weight.of([2, 1], [-1, -2])
+    y_first = alg((0, 1), (1, 0))
+    assert delta_u_p(y_first) == ((-1, 1, 1),)
+    assert dense_root_sum(y_first) == Weight.of([-1], [1])
+    assert dense_cone(y_first, Weight.of([0], [0]), 2) == {Weight.of([-k], [k]) for k in range(3)}
+
+
 def test_structural_identities_small():
     """R = |delta(u cap p)| and 2rho(u cap p) = sum of its roots."""
     for q in all_standard(6):
-        a, b = q.signature
         cells = delta_u_p(q)
         R, R_plus, R_minus = cohomological_degree(q)
         assert R == len(cells)
         assert R_plus == sum(1 for s, _, _ in cells if s == 1)
-        total = Weight.of([0] * a, [0] * b)
-        for cell in cells:
-            total = total + root_of(cell, a, b)
-        assert total == two_rho_up(q)
+        assert dense_root_sum(q) == two_rho_up(q)
 
 
 # Slow oracles: the nested pair read slot by slot, and the invariants built
@@ -493,7 +495,7 @@ def test_lowest_k_type_examples():
 
 def test_lowest_k_type_is_lambda_plus_the_dense_root_sum():
     """Oracle at lambda != 0: 2*lambda_i on every slot of block i plus the sum
-    of the dense `root_of` vectors over `delta_u_p`, for every standard
+    of the dense roots over `delta_u_p`, for every standard
     algebra with a+b <= 6, every unmerged lift source of one, and every
     weakly decreasing lambda with entries in [-2, 2]."""
     algebras = set()
@@ -501,14 +503,11 @@ def test_lowest_k_type_is_lambda_plus_the_dense_root_sum():
         algebras.add(q)
         algebras.update(_source_algebra(q, r0) for r0 in range(1, q.r + 1))
     for q in algebras:
-        a, b = q.signature
-        roots = Weight.of([0] * a, [0] * b)
-        for cell in delta_u_p(q):
-            roots = roots + root_of(cell, a, b)
+        roots = dense_root_sum(q)
         for lam in combinations_with_replacement(range(2, -3, -1), q.r):
             xs = tuple(2 * v for (ai, _), v in zip(q.blocks, lam) for _ in range(ai))
             ys = tuple(2 * v for (_, bi), v in zip(q.blocks, lam) for _ in range(bi))
-            assert lowest_k_type(q, lam) == Weight(xs, ys) + roots, (q, lam)
+            assert lowest_k_type(q, lam) == add_weights(Weight(xs, ys), roots), (q, lam)
 
 
 def test_k_types_bounded_counts():
@@ -560,18 +559,9 @@ def test_k_types_bounded_matches_root_multisets():
     """The cone, order included, is base + the sum of every multiset of at
     most `bound` radical roots."""
     for q in all_standard(5):
-        a, b = q.signature
         base = lowest_k_type(q)
-        roots = [root_of(c, a, b) for c in delta_u_p(q)]
         for bound in range(4):
-            cone = set()
-            for size in range(bound + 1):
-                for combo in combinations_with_replacement(roots, size):
-                    w = base
-                    for tau in combo:
-                        w = w + tau
-                    cone.add(w)
-            expected = sorted(cone, key=lambda w: w.x + w.y)
+            expected = sorted(dense_cone(q, base, bound), key=lambda w: w.x + w.y)
             assert k_types_bounded(q, None, bound) == expected, (q, bound)
 
 

@@ -17,26 +17,26 @@ import os
 from pathlib import Path
 
 from aql.cli import BOUND_ENV, run
-from aql.parabolic import enumerate_standard
 from aql.thetalift import select_r0
+
+from oracles import all_standard
 
 GOLDEN = Path(__file__).parent / "golden" / "sweep_u4.txt.gz"
 
 
 def sweep_argvs():
-    for n in range(1, 5):
-        for a in range(n + 1):
-            for q in enumerate_standard(a, n - a):
-                lam = ",".join(map(str, range(q.r - 1, -1, -1)))
-                common = ["--blocks", q.unparse(), "--lambda", lam]
-                yield ["aq", *common]
-                yield ["packet", *common]
-                for r0 in select_r0(q):
-                    n_prime = n - q.levi_sizes[r0 - 1]
-                    for chi1 in (n % 2, n % 2 + 2):
-                        chi = ["--r0", str(r0), "--chi", f"{chi1},{n_prime % 2}"]
-                        yield ["lift", "construct", *common, *chi]
-                        yield ["lift", "verify", *common, *chi, "--json"]
+    for q in all_standard(4, 1):
+        n = q.total
+        lam = ",".join(map(str, range(q.r - 1, -1, -1)))
+        common = ["--blocks", q.unparse(), "--lambda", lam]
+        yield ["aq", *common]
+        yield ["packet", *common]
+        for r0 in select_r0(q):
+            n_prime = n - q.levi_sizes[r0 - 1]
+            for chi1 in (n % 2, n % 2 + 2):
+                chi = ["--r0", str(r0), "--chi", f"{chi1},{n_prime % 2}"]
+                yield ["lift", "construct", *common, *chi]
+                yield ["lift", "verify", *common, *chi, "--json"]
 
 
 def record(argv) -> str:

@@ -16,20 +16,18 @@ from aql.arthur import (
     twist_twice,
 )
 from aql.convergence import atlas, predecessor
-from aql.halfint import CharMultiset, Weight, format_twice, half, shift
+from aql.halfint import CharMultiset, Weight, format_twice, half
 from aql.parabolic import (
     LambdaCharacter,
     ThetaStableAlgebra,
     _cone,
     centred_string,
     degree_twice,
-    delta_u_p,
     enumerate_standard,
     inf_char_aq,
     k_types_bounded,
     lowest_k_type,
     recentred,
-    root_of,
 )
 from aql.partitions import FramedPair, Partition, enumerate_compatible
 from aql.thetalift import (
@@ -46,9 +44,7 @@ from aql.thetalift import (
     verify_parameter_identity,
 )
 
-
-def alg(*blocks):
-    return ThetaStableAlgebra(blocks)
+from oracles import alg, all_standard, dense_cone, shift, shifted
 
 
 def tampered(d, **changes):
@@ -130,7 +126,7 @@ def test_build_source_at_every_r0_matches_the_block_sums():
     def xs(blocks):
         return sum(ai for ai, _ in blocks)
 
-    for q in (q for n in range(7) for a in range(n + 1) for q in enumerate_standard(a, n - a)):
+    for q in all_standard(6):
         n = q.total
         for r0 in range(1, q.r + 1):
             before, after = q.blocks[: r0 - 1], q.blocks[r0:]
@@ -289,14 +285,13 @@ def oracle_min_degree(d, bound):
 def lift_data(max_total):
     """(q, lambda, r0, chi) for every datum of the a+b <= max_total family:
     lambda in [-2, 2], every maximal r0 and both alpha1 parities."""
-    for n in range(1, max_total + 1):
-        for a in range(n + 1):
-            for q in enumerate_standard(a, n - a):
-                for lam in combinations_with_replacement(range(2, -3, -1), q.r):
-                    for r0 in select_r0(q):
-                        n_prime = n - q.levi_sizes[r0 - 1]
-                        for alpha1 in (n % 2, n % 2 + 2):
-                            yield q, lam, r0, (alpha1, n_prime % 2)
+    for q in all_standard(max_total, 1):
+        n = q.total
+        for lam in combinations_with_replacement(range(2, -3, -1), q.r):
+            for r0 in select_r0(q):
+                n_prime = n - q.levi_sizes[r0 - 1]
+                for alpha1 in (n % 2, n % 2 + 2):
+                    yield q, lam, r0, (alpha1, n_prime % 2)
 
 
 def test_min_degree_check_matches_the_sorted_oracle():
@@ -363,32 +358,23 @@ def test_cone_of_every_unmerged_source_matches_dense_root_sums():
     """The sparse steps of `_cone` index x- and y-coordinates on the split
     block lists that `build_source` makes too: for every source of the
     a+b <= 6 family (lambda in [-1, 1], every maximal r0) and bounds 0-3,
-    the cone's points are the base plus the sum, by `Weight.__add__`, of
-    every multiset of at most `bound` dense `root_of` roots, and the degree
+    the cone's points are the base plus the sum of every multiset of at
+    most `bound` dense roots (`dense_cone`), and the degree
     each point carries from its step is `degree_twice` of the point, at two
     centre pairs.  About 1 s on 2 CPUs."""
     sources = set()
-    for n in range(1, 7):
-        for a in range(n + 1):
-            for q in enumerate_standard(a, n - a):
-                for lam in combinations_with_replacement(range(1, -2, -1), q.r):
-                    for r0 in select_r0(q):
-                        d = build_source(q, lam, r0)
-                        sources.add((d.source_q, d.source_lambda))
+    for q in all_standard(6, 1):
+        for lam in combinations_with_replacement(range(1, -2, -1), q.r):
+            for r0 in select_r0(q):
+                d = build_source(q, lam, r0)
+                sources.add((d.source_q, d.source_lambda))
     split = 0
     for source_q, source_lambda in sources:
         a, b = source_q.signature
         split += not source_q.is_canonical
-        roots = [root_of(c, a, b) for c in delta_u_p(source_q)]
         base = lowest_k_type(source_q, source_lambda)
         for bound in range(4):
-            dense = set()
-            for size in range(bound + 1):
-                for combo in combinations_with_replacement(roots, size):
-                    w = base
-                    for tau in combo:
-                        w = w + tau
-                    dense.add(w)
+            dense = dense_cone(source_q, base, bound)
             for chi1_alpha, frame in ((0, None), (3, (a + 2, b + 1))):
                 cone = _cone(source_q, base, bound, chi1_alpha, frame)
                 assert cone.keys() == dense, (source_q, source_lambda, bound)
@@ -424,14 +410,13 @@ def test_full_report_is_deterministic():
 def every_r0_data(max_total, lambda_values):
     """(q, lambda, r0, chi) for the a+b <= max_total family at every r0, not
     only the maximal ones, both alpha1 parities and alpha2 = n' mod 2."""
-    for n in range(1, max_total + 1):
-        for a in range(n + 1):
-            for q in enumerate_standard(a, n - a):
-                for r0 in range(1, q.r + 1):
-                    n_prime = n - q.levi_sizes[r0 - 1]
-                    for lam in combinations_with_replacement(lambda_values, q.r):
-                        for alpha1 in (n % 2, n % 2 + 2):
-                            yield q, lam, r0, (alpha1, n_prime % 2)
+    for q in all_standard(max_total, 1):
+        n = q.total
+        for r0 in range(1, q.r + 1):
+            n_prime = n - q.levi_sizes[r0 - 1]
+            for lam in combinations_with_replacement(lambda_values, q.r):
+                for alpha1 in (n % 2, n % 2 + 2):
+                    yield q, lam, r0, (alpha1, n_prime % 2)
 
 
 def test_full_report_bytes_are_pinned():
@@ -458,13 +443,15 @@ def oracle_parameter(d):
 
 def oracle_inf_char(d):
     """The infinitesimal-character check on `CharMultiset`s: the oracle of
-    `verify_inf_char`."""
+    `verify_inf_char`.  The lift adds a string of n - n' entries, so a
+    datum with n' >= n is no lift."""
     n_r0 = d.target_q.total - d.source_q.total
     chi_jump = d.chi.alpha2 - d.chi.alpha1
     entries = [v + chi_jump for v in inf_char_aq(d.source_q, d.source_lambda).entries]
     entries.extend(centred_string(d.chi.alpha2, n_r0))
-    lifted = CharMultiset(twice=entries).shifted(d.det_shift)
-    return lifted == inf_char_aq(d.target_q, d.target_lambda)
+    lifted = shifted(CharMultiset(twice=entries), d.det_shift)
+    target = inf_char_aq(d.target_q, d.target_lambda)  # a misaligned target raises first
+    return n_r0 > 0 and lifted == target
 
 
 def oracle_k_type(d):
@@ -493,8 +480,10 @@ def tamperings(d):
     """Copies of d with one field changed: one source lambda entry +-1
     (where the values stay weakly decreasing), alpha1 +-2, det_shift +-1,
     mslk in every other order and with one slot moved across the k|s or
-    the m|l zone boundary, and target_q moved to U(6,0), to U(1,0) and
-    to its mirror image, every block (a_i, b_i) read as (b_i, a_i)."""
+    the m|l zone boundary, target_q moved to U(6,0), to U(1,0) and
+    to its mirror image, every block (a_i, b_i) read as (b_i, a_i), and the
+    target replaced by the source itself (n' = n with an aligned lambda),
+    once as it is and once with the det shift that cancels the chi jump."""
     values = d.source_lambda.values
     for i in range(len(values)):
         for step in (1, -1):
@@ -512,6 +501,9 @@ def tamperings(d):
     yield tampered(d, target_q=ThetaStableAlgebra([(6, 0)]))
     yield tampered(d, target_q=ThetaStableAlgebra([(1, 0)]))
     yield tampered(d, target_q=ThetaStableAlgebra([(b, a) for a, b in d.target_q.blocks]))
+    itself = dict(target_q=d.source_q, target_lambda=d.source_lambda)
+    yield tampered(d, **itself)
+    yield tampered(d, **itself, det_shift=half(chi.alpha1 - chi.alpha2))
 
 
 def outcome(check, d):
@@ -529,24 +521,26 @@ def test_checks_on_doubled_ints_match_the_value_object_oracles():
     r0, lambda in [-2, 2], both alpha1 parities) and on every tampering of
     the 1,980 data of its a+b <= 4, lambda in [-1, 1] part.  Each check
     meets both verdicts and a raised exception, the parameter check raises
-    ValueError where n' >= n, and the type map's HoweBoundError reads as
-    False.  About 11 s on 2 CPUs."""
+    ValueError where n' >= n, the infinitesimal-character check reads False
+    on data with n' >= n that raise nothing, and the type map's
+    HoweBoundError reads as False.  About 11 s on 2 CPUs."""
     start = time.perf_counter()
     pairs = (
         ("parameter", verify_parameter_identity, oracle_parameter),
         ("inf_char", verify_inf_char, oracle_inf_char),
         ("k_type", verify_k_type, lambda d: oracle_k_type(d)[0]),
     )
-    tally, howe_false, data = Counter(), 0, 0
+    tally, howe_false, unlifted, data = Counter(), 0, 0, 0
 
     def compare(d):
-        nonlocal howe_false
+        nonlocal howe_false, unlifted
         for name, check, oracle in pairs:
             got = outcome(check, d)
             assert got == outcome(oracle, d), (name, d)
             tally[name, str(got) if isinstance(got, bool) else got[0]] += 1
         howe = outcome(oracle_k_type, d)
         howe_false += howe == (False, True)
+        unlifted += d.source_q.total >= d.target_q.total and outcome(verify_inf_char, d) is False
 
     for q, lam, r0, chi in every_r0_data(5, range(2, -3, -1)):
         compare(build_source(q, lam, r0, chi))
@@ -556,10 +550,11 @@ def test_checks_on_doubled_ints_match_the_value_object_oracles():
             compare(d)
             data += 1
     elapsed = time.perf_counter() - start
-    print(f"{data} data, {elapsed:.1f}s: {sorted(tally.items())}, HoweBoundError {howe_false}")
+    print(f"{data} data, {elapsed:.1f}s: {sorted(tally.items())}, HoweBoundError {howe_false}, "
+          f"n' >= n False {unlifted}")
     for name, _, _ in pairs:
         assert tally[name, "True"] and tally[name, "False"] and tally[name, "AlignmentError"], name
-    assert tally["parameter", "ValueError"] and howe_false
+    assert tally["parameter", "ValueError"] and howe_false and unlifted
 
 
 class Untouchable:

@@ -3,10 +3,12 @@ hashing, repr, immutability, keyword construction, pickling and copying."""
 
 import copy
 import gc
+import importlib
 import inspect
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -270,15 +272,26 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 
 def test_the_readme_layout_table_lists_every_public_name():
     """Every public name of `import aql` is in the README "Library layout"
-    table, as `name` or, for a submodule, as `aql.name`."""
+    table, as `name` or, for a submodule, as `aql.name`; and every `name`
+    in a module's row, outside its parenthesised descriptions, exists in
+    that module."""
     import aql
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    table = "\n".join(
-        line for line in readme.split("## Library layout", 1)[1].splitlines() if line.startswith("|")
-    )
+    rows = [line for line in readme.split("## Library layout", 1)[1].splitlines() if line.startswith("|")]
+    table = "\n".join(rows)
     missing = [
         name for name in vars(aql)
         if not name.startswith("_") and f"`{name}`" not in table and f"`aql.{name}`" not in table
     ]
     assert missing == []
+    listed, stale = 0, []
+    for row in rows:
+        _, module, contents, _ = row.split("|")
+        module = re.fullmatch(r"\s*`(aql\.\w+)`\s*", module)
+        if module:  # not the header or the rule under it
+            names = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", contents))
+            found = vars(importlib.import_module(module[1]))
+            listed += len(names)
+            stale += [f"{module[1]}.{name}" for name in names if name not in found]
+    assert listed and stale == []
