@@ -3,10 +3,9 @@
 The package computes, in exact half-integer arithmetic: the partition-pair
 classification of standard theta-stable parabolic subalgebras, the
 attached Arthur-parameter restrictions and infinitesimal characters,
-lowest K-types and bounded K-type cones, packets, the theta-lift source
-construction with its four exact verification checks, and convergence
-certificates, found by a backward walk with no choices or generated
-forward for a whole frame.
+lowest K-types, packets, the theta-lift source construction with its four
+exact verification checks, and convergence certificates, found by a
+backward walk with no choices or generated forward for a whole frame.
 """
 
 from .halfint import CharMultiset, HalfInt, Weight, format_twice, half, twice_of
@@ -34,7 +33,6 @@ from .parabolic import (
     enumerate_packet,
     enumerate_standard,
     inf_char_aq,
-    k_types_bounded,
     lowest_k_type,
     partitions_from_blocks,
     two_rho_up,

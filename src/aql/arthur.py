@@ -48,11 +48,6 @@ class ParameterRestriction(Frozen):
     def from_json(cls, doc: dict) -> "ParameterRestriction":
         return cls((s["k"], s["n"]) for s in doc["summands"])
 
-    def __str__(self):
-        if not self.summands:
-            return "0"
-        return " + ".join(f"mu^{format_twice(k)} (x) sigma_{n}" for k, n in self.summands)
-
 
 class ChiPair(Frozen):
     """The pair of splitting characters, recorded by their circle exponents.

@@ -12,7 +12,6 @@ a and a y-part of length b, matching the diagonal Cartan of U(a) x U(b).
 
 from __future__ import annotations
 
-from functools import total_ordering
 from operator import attrgetter
 from typing import Iterable, Tuple, Union
 
@@ -144,18 +143,16 @@ def twice_of(value: HalfIntLike) -> int:
     return 2 * int(s)
 
 
-@total_ordering
 class Weight(Frozen):
     """A weight of U(a) x U(b), split into its x- and y-coordinates, each
-    held as a tuple of doubled ints.  Weights of one signature sort by
-    their coordinates."""
+    held as a tuple of doubled ints."""
 
     def __init__(self, x: Tuple[int, ...], y: Tuple[int, ...]):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    # the cone walk hashes and compares weights, and only `k_types_bounded`
-    # sorts them: spelled out, as the base's `_values` cost lift about 7%
+    # the cone walk hashes and compares weights: spelled out, as the base's
+    # `_values` cost lift about 7%
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.x == other.x and self.y == other.y
@@ -163,11 +160,6 @@ class Weight(Frozen):
 
     def __hash__(self):
         return hash((self.x, self.y))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.x, self.y) < (other.x, other.y)
-        return NotImplemented
 
     @classmethod
     def of(cls, xs: Iterable[HalfIntLike], ys: Iterable[HalfIntLike]) -> "Weight":
@@ -206,18 +198,12 @@ class CharMultiset(Frozen):
     Infinitesimal characters live here: a+b coordinates with multiplicity,
     order irrelevant.  Entries are doubled ints kept sorted decreasing;
     they come as half-integers through `entries` or already doubled
-    through `twice`.  Iteration yields them as `HalfInt`.
+    through `twice`.
     """
 
     def __init__(self, entries: Iterable[HalfIntLike] = (), *, twice: Iterable[int] = ()):
         items = sorted([*map(twice_of, entries), *twice], reverse=True)
         object.__setattr__(self, "entries", tuple(items))
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return map(half, self.entries)
 
     def to_json(self) -> list:
         return [format_twice(v) for v in self.entries]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations_with_replacement, groupby
 from math import comb
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .halfint import CharMultiset, Frozen, HalfInt, Weight, exact_int, half
 from .partitions import FrameError, FramedPair, IncompatiblePairError, Partition, is_compatible
@@ -342,16 +342,10 @@ def _lowest_k_type_twice(
 MAX_CONE = 200_000
 
 
-def k_types_bounded(q: ThetaStableAlgebra, lam=None, bound: int = 0) -> List[Weight]:
-    """The cone lambda + 2rho(u cap p) + sum n_tau tau truncated at total
-    coefficient <= bound, sorted: a superset of the actual K-types, enough for
-    the minimal-degree search, which reads the degrees `_cone` carries per step."""
-    return sorted(_cone(q, lowest_k_type(q, lam), bound, 0))
-
-
-def _cone(q: ThetaStableAlgebra, base: Weight, bound: int, chi1_alpha: int, frame=None) -> dict:
-    """The points of `k_types_bounded`, unordered, from the lowest K-type `base`,
-    each mapped to `degree_twice(point, chi1_alpha, frame)`: root (sign, i, j) is
+def _cone(q: ThetaStableAlgebra, base: Weight, bound: int, chi1_alpha: int, frame: tuple) -> dict:
+    """The K-type candidates base + sum n_tau tau (tau in `delta_u_p(q)`, total
+    coefficient <= bound) from the lowest K-type `base`, unordered, each mapped
+    to `degree_twice(point, chi1_alpha, frame)`: root (sign, i, j) is
     the step 2*sign at x_i, -2*sign at y_{b+1-j}, so a point's degree is its parent's
     plus two changes of |coordinate - centre|.  A cone over MAX_CONE points or
     MAX_CONE * MAX_FRAME coordinates raises ValueError before any root is listed."""
@@ -368,7 +362,7 @@ def _cone(q: ThetaStableAlgebra, base: Weight, bound: int, chi1_alpha: int, fram
         )
     b = q.signature[1]
     moves = [(i - 1, b - j, 2 * sign) for sign, i, j in delta_u_p(q)] if bound else []
-    cx, cy = _frame_centres(chi1_alpha, frame if frame is not None else base.signature)
+    cx, cy = _frame_centres(chi1_alpha, frame)
     seen = {base: degree_twice(base, chi1_alpha, frame)}
     frontier = list(seen.items())
     for _ in range(bound if moves else 0):  # no roots: the base point is the cone
@@ -430,16 +424,14 @@ def enumerate_packet(q: ThetaStableAlgebra, lam=None):
     ]
 
 
-def recentred(
-    w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]] = None
-) -> Tuple[List[int], List[int]]:
+def recentred(w: Weight, chi1_alpha: int, frame: Tuple[int, int]) -> Tuple[List[int], List[int]]:
     """Doubled coordinates of w relative to a dual-pair partner.
 
     Coordinates are recentred by chi1_alpha/2 plus (a-b)/2 on the x-part
     and (b-a)/2 on the y-part, where (a, b) is the partner signature
-    (`frame`).  With no partner given, the weight's own signature is used.
+    (`frame`).
     """
-    cx, cy = _frame_centres(chi1_alpha, frame if frame is not None else w.signature)
+    cx, cy = _frame_centres(chi1_alpha, frame)
     return [v - cx for v in w.x], [v - cy for v in w.y]
 
 
@@ -450,15 +442,16 @@ def _frame_centres(alpha: int, frame: Tuple[int, int]) -> Tuple[int, int]:
     return alpha + (fa - fb), alpha + (fb - fa)
 
 
-def degree_twice(w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]] = None) -> int:
+def degree_twice(w: Weight, chi1_alpha: int, frame: Tuple[int, int]) -> int:
     """Twice the Fock-space degree of a weight relative to a dual-pair
-    partner: the sum of the absolute recentred coordinates."""
-    cx, cy = _frame_centres(chi1_alpha, frame if frame is not None else w.signature)
+    partner of signature `frame`: the sum of the absolute recentred coordinates."""
+    cx, cy = _frame_centres(chi1_alpha, frame)
     return sum([abs(v - cx) for v in w.x]) + sum([abs(v - cy) for v in w.y])
 
 
-def degree(w: Weight, chi1_alpha: int, frame: Optional[Tuple[int, int]] = None) -> HalfInt:
-    """Fock-space degree of a weight relative to a dual-pair partner."""
+def degree(w: Weight, chi1_alpha: int, frame: Tuple[int, int]) -> HalfInt:
+    """Fock-space degree of a weight relative to a dual-pair partner of
+    signature `frame`."""
     return half(degree_twice(w, chi1_alpha, frame))
 
 

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 from operator import add
 
 from aql.halfint import CharMultiset, Weight, twice_of
-from aql.parabolic import ThetaStableAlgebra, delta_u_p, enumerate_standard
+from aql.parabolic import ThetaStableAlgebra, _cone, delta_u_p, enumerate_standard, lowest_k_type
 
 
 def alg(*blocks):
@@ -72,3 +72,9 @@ def dense_cone(q: ThetaStableAlgebra, base: Weight, bound: int) -> set:
         for size in range(bound + 1)
         for combo in combinations_with_replacement(roots, size)
     }
+
+
+def k_types_bounded(q: ThetaStableAlgebra, lam=None, bound: int = 0) -> list:
+    """The points of `_cone` from the lowest K-type of (q, lambda), sorted by
+    their coordinates; the degrees it carries are dropped."""
+    return sorted(_cone(q, lowest_k_type(q, lam), bound, 0, q.signature), key=lambda w: (w.x, w.y))

@@ -14,9 +14,11 @@ from jsonschema import Draft202012Validator
 
 from aql.cli import run
 from aql.convergence import atlas
-from aql.parabolic import ThetaStableAlgebra, k_types_bounded
+from aql.parabolic import ThetaStableAlgebra
 from aql.partitions import enumerate_compatible
 from aql.thetalift import build_source
+
+from oracles import k_types_bounded
 
 GOLDEN = Path(__file__).parent / "golden"
 # Without PYTHONUNBUFFERED: with it a child's large write to a closed pipe

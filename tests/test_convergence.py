@@ -37,7 +37,7 @@ def _oracle_search(blocks, is_last, lax):
     final step and on the step out of the base."""
     q = ThetaStableAlgebra(blocks)
     if q.has_compact_levi:
-        return (ChainStep(q.signature, q, None),)
+        return (ChainStep(q, None),)
     for r0 in range(1, q.r + 1):
         pred = predecessor(q, r0)
         if not sum(q.signature) > 2 * sum(pred.signature):
@@ -48,7 +48,7 @@ def _oracle_search(blocks, is_last, lax):
         sub = _oracle_search(pred.blocks, False, lax)
         if sub is None:
             continue
-        return sub + (ChainStep(q.signature, q, r0),)
+        return sub + (ChainStep(q, r0),)
     return None
 
 
@@ -165,13 +165,31 @@ def test_lax_is_weaker_than_strict():
 
 
 def test_validate_rejects_tampered_certificate():
+    """One tampering per rule of `validate_certificate`, each reported
+    alone and by its exact message, except the stable range, which fails
+    at both steps of the lax chain of 0,6;1,2;0,2 replayed strictly."""
     q = alg((1, 0), (2, 2), (0, 1))
     _, cert = is_convergent(q)
-    top = cert.steps[1]
-    assert top.r0 != 1
-    bad_step = ChainStep(signature=top.signature, blocks=top.blocks, r0=1)
-    bad = ConvergenceCertificate(steps=(cert.steps[0], bad_step), lax=cert.lax)
-    assert validate_certificate(bad, q) != []
+    base, top = cert.steps
+    assert (base.blocks, top.r0) == (alg((2, 0)), 2)
+    # block 1 holds exactly half the slots; the predecessor 0,1;1,0 is compact
+    halved = alg((1, 1), (1, 0), (0, 1))
+    halved_base = ChainStep(alg((0, 1), (1, 0)), None)
+    lax_q = ThetaStableAlgebra.parse("0,6;1,2;0,2")
+    _, lax_cert = is_convergent(lax_q, lax=True)
+    cases = [
+        ((), q, ["certificate has no steps"]),
+        (cert.steps, alg((1, 1)), ["chain does not end at the input algebra"]),
+        ((ChainStep(alg((1, 1)), None),), alg((1, 1)), ["base Levi is not compact"]),
+        ((ChainStep(base.blocks, 1), top), q, ["base step must not carry an r0"]),
+        ((base, ChainStep(q, None)), q, ["step 1: missing r0"]),
+        ((base, ChainStep(q, 1)), q, ["step 1: predecessor does not replay"]),
+        ((halved_base, ChainStep(halved, 1)), halved, ["step 1: growth condition fails"]),
+        (lax_cert.steps, lax_q, ["step 1: stable range fails", "step 2: stable range fails"]),
+    ]
+    for steps, target, problems in cases:
+        assert validate_certificate(ConvergenceCertificate(steps, lax=False), target) == problems
+    assert validate_certificate(lax_cert, lax_q) == []
 
 
 def test_chain_length_is_logarithmic():

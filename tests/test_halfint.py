@@ -114,6 +114,8 @@ def test_weight_json_round_trip():
     doc = w.to_json()
     assert doc == {"a": 2, "b": 1, "x": ["5/2", "1"], "y": ["0"]}
     assert Weight.from_json(doc) == w
+    with pytest.raises(ValueError, match="^signature does not match coordinate lists$"):
+        Weight.from_json({**doc, "a": 1, "b": 2})
 
 
 def test_char_multiset_is_order_insensitive():

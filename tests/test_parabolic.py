@@ -27,7 +27,6 @@ from aql.parabolic import (
     enumerate_packet,
     enumerate_standard,
     inf_char_aq,
-    k_types_bounded,
     lowest_k_type,
     packet_size,
     partitions_from_blocks,
@@ -48,7 +47,9 @@ from aql.partitions import (
 from aql.convergence import atlas, predecessor
 from aql.thetalift import DEFAULT_BOUND, _source_algebra, build_source
 
-from oracles import add_weights, alg, all_standard, dense_cone, dense_root_sum, root_of
+from oracles import (
+    add_weights, alg, all_standard, dense_cone, dense_root_sum, k_types_bounded, root_of
+)
 
 
 def rho_gl(n):
@@ -631,10 +632,6 @@ def test_degree_examples():
     )
 
 
-def test_degree_defaults_to_own_signature():
-    assert degree(Weight.of([3], []), 1, (1, 0)) == degree(Weight.of([3], []), 1)
-
-
 coords = st.lists(st.integers(min_value=-60, max_value=60), max_size=8).map(tuple)
 
 
@@ -642,7 +639,7 @@ coords = st.lists(st.integers(min_value=-60, max_value=60), max_size=8).map(tupl
     coords,
     coords,
     st.integers(min_value=-30, max_value=30),
-    st.none() | st.tuples(st.integers(0, MAX_FRAME), st.integers(0, MAX_FRAME)),
+    st.tuples(st.integers(0, MAX_FRAME), st.integers(0, MAX_FRAME)),
 )
 def test_degree_twice_sums_the_recentred_coordinates(xs, ys, chi1, frame):
     """`degree_twice` reads the degree off the coordinates; it equals the

@@ -101,6 +101,8 @@ def test_framed_pair_validation():
         FramedPair(2, 2, Partition([2, 1]), Partition([2]))  # alpha not inside beta
     with pytest.raises(FrameError):
         FramedPair(1, 2, EMPTY, Partition([1, 1]))  # too many rows
+    with pytest.raises(FrameError, match="^frame sides must be non-negative$"):
+        FramedPair(-1, 2, EMPTY, EMPTY)
 
 
 def test_is_compatible_examples():

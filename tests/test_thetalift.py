@@ -25,7 +25,6 @@ from aql.parabolic import (
     degree_twice,
     enumerate_standard,
     inf_char_aq,
-    k_types_bounded,
     lowest_k_type,
     recentred,
 )
@@ -44,7 +43,7 @@ from aql.thetalift import (
     verify_parameter_identity,
 )
 
-from oracles import alg, all_standard, dense_cone, shift, shifted
+from oracles import alg, all_standard, dense_cone, k_types_bounded, shift, shifted
 
 
 def tampered(d, **changes):
@@ -79,6 +78,10 @@ def test_build_source_worked_chain():
     assert d.det_shift == -1  # lambda2 - 1
     assert d.mslk == (0, 0, 1, 0)
     assert d.source_signature == (1, 0)
+    # a ChiPair must carry the pair's (n, n') = (3, 1)
+    assert build_source(alg((1, 0), (1, 1)), (1, 0), 2, ChiPair(1, 1, 3, 1)) == d
+    with pytest.raises(ValueError, match=r"^chi context \(3, 2\) does not match pair \(3, 1\)$"):
+        build_source(alg((1, 0), (1, 1)), (1, 0), 2, ChiPair(1, 0, 3, 2))
 
 
 def test_build_source_keeps_source_blocks_split():
@@ -375,7 +378,7 @@ def test_cone_of_every_unmerged_source_matches_dense_root_sums():
         base = lowest_k_type(source_q, source_lambda)
         for bound in range(4):
             dense = dense_cone(source_q, base, bound)
-            for chi1_alpha, frame in ((0, None), (3, (a + 2, b + 1))):
+            for chi1_alpha, frame in ((0, (a, b)), (3, (a + 2, b + 1))):
                 cone = _cone(source_q, base, bound, chi1_alpha, frame)
                 assert cone.keys() == dense, (source_q, source_lambda, bound)
                 assert all(

@@ -7,7 +7,6 @@ import importlib
 import inspect
 import os
 import pickle
-import random
 import re
 import subprocess
 import sys
@@ -19,14 +18,16 @@ import pytest
 from aql.arthur import ChiPair, ParameterRestriction
 from aql.convergence import AtlasRow, ChainStep, ConvergenceCertificate
 from aql.halfint import CharMultiset, Frozen, HalfInt, Weight
-from aql.parabolic import LambdaCharacter, ThetaStableAlgebra, enumerate_standard
+from aql.parabolic import (
+    LambdaCharacter, ThetaStableAlgebra, _cone, degree, degree_twice, enumerate_standard, recentred,
+)
 from aql.partitions import FramedPair, Partition
 from aql.thetalift import LiftDatum, LiftReport, build_source, full_report
 
 Q = ThetaStableAlgebra(((1, 0), (1, 1)))
 DATUM = build_source(Q, (1, 0), 2, (1, 1))
 REPORT = full_report(Q, (1, 0), 2, (1, 1))
-BASE_STEP = ChainStep(signature=(2, 0), blocks=ThetaStableAlgebra(((2, 0),)), r0=None)
+BASE_STEP = ChainStep(blocks=ThetaStableAlgebra(((2, 0),)), r0=None)
 
 # class -> (keyword arguments under the field names, the fields they set)
 CASES = {
@@ -73,7 +74,7 @@ CASES = {
         },
         ("datum", "parameter_ok", "infchar_ok", "ktype_ok", "mindegree_ok", "bound", "details"),
     ),
-    ChainStep: ({"signature": (3, 1), "blocks": Q, "r0": 2}, ("signature", "blocks", "r0")),
+    ChainStep: ({"blocks": Q, "r0": 2}, ("blocks", "r0")),
     ConvergenceCertificate: ({"steps": (BASE_STEP,), "lax": False}, ("steps", "lax")),
     AtlasRow: (
         {
@@ -216,18 +217,19 @@ def test_a_slotted_algebra_takes_weak_references():
     assert ref() is None
 
 
-def test_weights_sort_by_their_coordinates():
-    rng = random.Random(7)
-
-    def coords():
-        return tuple(rng.randint(-3, 3) for _ in range(2))
-
-    weights = [Weight(coords(), coords()) for _ in range(200)]
-    assert sorted(weights) == sorted(weights, key=lambda w: (w.x, w.y))
+def test_weights_are_not_ordered():
+    """The library never sorts weights; a test that needs an order names its key."""
     lo, hi = Weight((0, 0), (1,)), Weight((0, 1), (0,))
-    assert lo < hi and lo <= hi and hi > lo and hi >= lo and lo <= lo and not lo < lo
-    with pytest.raises(TypeError):
-        lo < ((0, 1), (0,))
+    for compare in (lambda: lo < hi, lambda: lo <= lo, lambda: hi > lo, lambda: hi >= lo):
+        with pytest.raises(TypeError):
+            compare()
+
+
+@pytest.mark.parametrize("func", [recentred, degree_twice, degree, _cone], ids=lambda f: f.__name__)
+def test_every_degree_names_its_partner_frame(func):
+    """A degree is always taken against an explicit partner signature."""
+    frame = inspect.signature(func).parameters["frame"]
+    assert frame.default is inspect.Parameter.empty
 
 
 def test_lift_report_equality_ignores_details():
