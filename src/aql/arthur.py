@@ -119,16 +119,16 @@ def theta_lift_param(
 ) -> ParameterRestriction:
     """Lift a rank-n' parameter to rank n: twist the old summands by
     (alpha2 - alpha1)/2 and adjoin mu^(alpha2/2) (x) sigma_{n-n'}."""
+    if psi_prime.dimension >= n:
+        raise ValueError("target must be strictly larger")
     return ParameterRestriction(twice=_lifted(psi_prime.summands, chi.alpha1, chi.alpha2, n))
 
 
 def _lifted(
     summands: Sequence[Tuple[int, int]], alpha1: int, alpha2: int, n: int
 ) -> List[Tuple[int, int]]:
-    """The doubled summands of `theta_lift_param`, unsorted."""
-    n_prime = sum([n_i for _, n_i in summands])
-    if n_prime >= n:
-        raise ValueError("target must be strictly larger")
+    """The doubled summands of `theta_lift_param`, unsorted; for n' >= n the
+    adjoined summand has dimension n - n' <= 0, which no check accepts."""
     out = _twisted(summands, alpha2 - alpha1)
-    out.append((alpha2, n - n_prime))
+    out.append((alpha2, n - sum([n_i for _, n_i in summands])))
     return out

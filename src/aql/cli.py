@@ -3,7 +3,7 @@
 Subcommands mirror the library surface: partition-pair enumeration,
 invariants of one module, packet listing, lift construction and
 verification, convergence checks and the atlas table.  Output is
-deterministic: the same argv and the same `AQL_BOUND` give byte-identical stdout.
+deterministic: the same argv gives byte-identical stdout, whatever the environment.
 Exit codes: 0 success / verified, 1 a verification returned false,
 2 invalid input or a failed write, 3 internal error (an unexpected exception).
 """
@@ -39,7 +39,6 @@ from .parabolic import (
 from .partitions import enumerate_compatible
 from .thetalift import DEFAULT_BOUND, build_source, full_report
 
-BOUND_ENV = "AQL_BOUND"
 LAMBDA_HELP = "per-block character, e.g. '2,1,0' or '-1,-2' (default 0)"
 INTEGER_LIST = re.compile(r"-?\d+(,-?\d+)*")
 
@@ -105,18 +104,6 @@ def _parse_chi(text: Optional[str]):
     return (int(parts[0]), int(parts[1]))
 
 
-def _default_bound(args) -> int:
-    if args.bound is not None:
-        return args.bound
-    env = os.environ.get(BOUND_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{BOUND_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_BOUND
-
-
 def cmd_partitions_enumerate(args) -> int:
     if args.count:
         _check_frame(args.a, args.b)
@@ -177,7 +164,7 @@ def cmd_lift_construct(args) -> int:
 def cmd_lift_verify(args) -> int:
     q = ThetaStableAlgebra.parse(args.blocks)
     lam = _parse_lambda(getattr(args, "lambda"), q)
-    report = full_report(q, lam, args.r0, _parse_chi(args.chi), _default_bound(args))
+    report = full_report(q, lam, args.r0, _parse_chi(args.chi), args.bound)
     args.counts.update(cone_size=report.details["min_degree"]["cone_size"], bound=report.bound)
     if args.json:
         _emit(report.to_json())
@@ -257,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="character exponents 'a1,a2', e.g. '-1,1' (default: minimal parities)",
         )
         if name == "verify":
-            p.add_argument("--bound", type=int, help=f"cone bound for the degree check (default {DEFAULT_BOUND}, env {BOUND_ENV})")
+            p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+                           help=f"cone bound for the degree check (default {DEFAULT_BOUND})")
             p.add_argument("--json", action="store_true", help="full JSON report")
         p.set_defaults(func=fn)
 

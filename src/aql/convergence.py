@@ -249,6 +249,9 @@ def validate_certificate(
         if cur.r0 is None:
             problems.append(f"step {i}: missing r0")
             continue
+        if type(cur.r0) is not int or not 1 <= cur.r0 <= cur.blocks.r:  # a bool is no index
+            problems.append(f"step {i}: r0 {cur.r0!r} out of range 1..{cur.blocks.r}")
+            continue
         if predecessor(cur.blocks, cur.r0) != prev.blocks:
             problems.append(f"step {i}: predecessor does not replay")
         if not _growth_ok(prev.signature, cur.signature):

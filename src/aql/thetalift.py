@@ -65,14 +65,6 @@ class LiftDatum(Frozen):
         object.__setattr__(self, "det_shift", det_shift)
         object.__setattr__(self, "mslk", mslk)
 
-    @property
-    def target_signature(self) -> Tuple[int, int]:
-        return self.target_q.signature
-
-    @property
-    def source_signature(self) -> Tuple[int, int]:
-        return self.source_q.signature
-
     def to_json(self) -> dict:
         m, s, k, l = self.mslk
         return {
@@ -228,16 +220,16 @@ def verify_parameter_identity(d: LiftDatum) -> bool:
 
 def _inf_char_check(d: LiftDatum):
     """(verdict, lifted source infinitesimal character, target one), each a
-    sorted list of doubled entries.  The removed block has n - n' slots, so
-    a datum with n' >= n is False."""
-    source, target, chi, det = d.source_q, d.target_q, d.chi, d.det_shift.twice
+    sorted list of doubled entries; the lifted one is the strings of the
+    lifted source parameter after the det twist.  The removed block has
+    n - n' slots, so a datum with n' >= n is False."""
+    source, target, chi = d.source_q, d.target_q, d.chi
     n_r0 = target.total - source.total
-    summands = _twisted(
+    summands = _lifted(
         _summands(source.blocks, _as_lambda(source, d.source_lambda).values),
-        chi.alpha2 - chi.alpha1 + det,
-    )
-    summands.append((chi.alpha2 + det, n_r0))  # no string at all when n_r0 <= 0
-    lifted = _inf_char_twice(summands)
+        chi.alpha1, chi.alpha2, target.total,
+    )  # the adjoined summand gives no string at all when n_r0 <= 0
+    lifted = _inf_char_twice(_twisted(summands, d.det_shift.twice))
     entries = _inf_char_twice(_summands(target.blocks, _as_lambda(target, d.target_lambda).values))
     lifted.sort()
     entries.sort()
@@ -335,7 +327,7 @@ def _min_degree_check(d: LiftDatum, bound: int):
     """(verdict, doubled degree of the source lowest K-type, doubled degrees
     of the cone in no stated order), each carried by `_cone` from its step."""
     low = lowest_k_type(d.source_q, d.source_lambda)
-    cone = _cone(d.source_q, low, bound, d.chi.alpha1, d.target_signature)
+    cone = _cone(d.source_q, low, bound, d.chi.alpha1, d.target_q.signature)
     base, degrees = cone[low], list(cone.values())
     return all(v >= base for v in degrees), base, degrees
 

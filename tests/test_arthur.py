@@ -100,7 +100,7 @@ def test_theta_lift_param_examples():
     # empty source: a single sigma summand
     chi2 = ChiPair.default(4, 0)
     assert theta_lift_param(psi(), chi2, 4) == psi((0, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^target must be strictly larger$"):
         theta_lift_param(psi((0, 1), (1, 2)), ChiPair.default(3, 3), 3)
 
 

@@ -271,22 +271,30 @@ def test_lift_verify_json_report(capsys):
     assert doc["details"]["lifted_parameter"] == doc["details"]["twisted_target_parameter"]
 
 
-def test_bound_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("AQL_BOUND", "1")
-    code, out, _ = run_cli(
-        capsys, "lift", "verify", "--blocks", "2,2", "--json"
-    )
-    assert code == 0
-    assert json.loads(out)["bound"] == 1
-    monkeypatch.setenv("AQL_BOUND", "junk")
-    code, out, err = run_cli(capsys, "lift", "verify", "--blocks", "2,2")
-    assert code == 2
-    # explicit flag wins over the environment
-    monkeypatch.setenv("AQL_BOUND", "1")
-    code, out, _ = run_cli(
-        capsys, "lift", "verify", "--blocks", "2,2", "--bound", "4", "--json"
-    )
-    assert json.loads(out)["bound"] == 4
+def test_the_environment_does_not_change_lift_verify():
+    """`aql lift verify` reads its bound from argv alone: with AQL_BOUND set
+    to 1 or to junk, a child prints the bytes and exit code of a run
+    without it, at the default bound 3."""
+    argv = aql("lift", "verify", "--blocks", "2,2", "--json")
+    clean = {key: value for key, value in SRC_ENV.items() if key != "AQL_BOUND"}
+    runs = [
+        subprocess.run(argv, env=env, capture_output=True, timeout=60)
+        for env in (clean, {**clean, "AQL_BOUND": "1"}, {**clean, "AQL_BOUND": "junk"})
+    ]
+    assert (runs[0].returncode, runs[0].stderr) == (0, b"")
+    assert json.loads(runs[0].stdout)["bound"] == 3
+    for done in runs[1:]:
+        assert (done.returncode, done.stdout, done.stderr) == (0, runs[0].stdout, b"")
+
+
+def test_no_module_reads_the_environment():
+    """No `aql` module reads the process environment, so argv alone
+    decides what a command does."""
+    src = Path(__file__).resolve().parents[1] / "src" / "aql"
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for needle in ("os.environ", "os.getenv", "environ["):
+            assert needle not in text, f"{path.name} reads the environment ({needle})"
 
 
 def test_atlas_out_file(tmp_path, capsys):
@@ -546,11 +554,10 @@ def test_meta_counts_the_atlas_rows(capsys, tmp_path):
     assert code == 0 and "rows" not in json.loads(err)
 
 
-def test_meta_counts_the_lift_cone(capsys, monkeypatch):
+def test_meta_counts_the_lift_cone(capsys):
     """A lift verify run's meta line gives the cone size of its --json
     report and the bound it ran at; stdout and the exit code are those of
     the run without --meta, and no other command writes either key."""
-    monkeypatch.delenv("AQL_BOUND", raising=False)
     for extra in ((), ("--bound", "1"), ("--bound", "0"), ("--lambda", "1,0,-1")):
         argv = ("lift", "verify", "--blocks", "2,1;3,3;1,2", *extra)
         _, report, _ = run_cli(capsys, *argv, "--json")
@@ -573,26 +580,21 @@ BIG_CONE = ("lift", "verify", "--blocks", "3,0;0,3;3,0;0,3;1,1", "--r0", "5")
 
 
 def test_oversized_cone_exits_two_before_building(capsys, monkeypatch):
-    """C(5+36, 36) = 749,398 cone points exceed MAX_CONE, from the flag and
-    from the environment alike, with the message of `k_types_bounded` on
-    the same source and before any root is listed."""
+    """C(5+36, 36) = 749,398 cone points exceed MAX_CONE, with the message
+    of `k_types_bounded` on the same source and before any root is listed."""
     def untouchable(q):
         raise AssertionError("delta_u_p called past the cone cap")
 
     monkeypatch.setattr("aql.parabolic.delta_u_p", untouchable)
-    monkeypatch.delenv("AQL_BOUND", raising=False)
     source = build_source(ThetaStableAlgebra(((3, 0), (0, 3), (3, 0), (0, 3), (1, 1))), None, 5)
     with pytest.raises(ValueError) as error:
         k_types_bounded(source.source_q, source.source_lambda, 5)
-    for extra, env in ((("--bound", "5"), None), ((), "5")):
-        if env is not None:
-            monkeypatch.setenv("AQL_BOUND", env)
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, *BIG_CONE, *extra)
-        assert time.perf_counter() - start < 1
-        assert (code, out) == (2, "")
-        assert err.startswith("error: cone at bound 5 over 36 roots") and err.count("\n") == 1
-        assert err == f"error: {error.value}\n"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *BIG_CONE, "--bound", "5")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cone at bound 5 over 36 roots") and err.count("\n") == 1
+    assert err == f"error: {error.value}\n"
 
 
 def test_oversized_cone_is_refused_before_its_roots_are_listed(capsys, monkeypatch):
@@ -602,7 +604,6 @@ def test_oversized_cone_is_refused_before_its_roots_are_listed(capsys, monkeypat
         raise AssertionError("delta_u_p called past the cone cap")
 
     monkeypatch.setattr("aql.parabolic.delta_u_p", untouchable)
-    monkeypatch.delenv("AQL_BOUND", raising=False)
     for bound in ("3", "1000000"):
         start = time.perf_counter()
         code, out, err = run_cli(
@@ -626,7 +627,6 @@ def test_bound_zero_lists_no_roots(capsys, monkeypatch):
         raise AssertionError("delta_u_p called at bound 0")
 
     monkeypatch.setattr("aql.parabolic.delta_u_p", untouchable)
-    monkeypatch.delenv("AQL_BOUND", raising=False)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *WIDE_SOURCE, "--bound", "0")
     assert time.perf_counter() - start < 1
@@ -642,7 +642,6 @@ def test_wide_cone_is_refused_by_its_coordinates(capsys, monkeypatch):
         raise AssertionError("delta_u_p called past the cone budget")
 
     monkeypatch.setattr("aql.parabolic.delta_u_p", untouchable)
-    monkeypatch.delenv("AQL_BOUND", raising=False)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *WIDE_SOURCE, "--bound", "1")
     assert time.perf_counter() - start < 1
@@ -653,10 +652,9 @@ def test_wide_cone_is_refused_by_its_coordinates(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-def test_a_cone_without_roots_ends_at_once_whatever_the_bound(capsys, monkeypatch):
+def test_a_cone_without_roots_ends_at_once_whatever_the_bound(capsys):
     """The (1,0) source has no root, so its cone is one point at any bound;
     the search must not walk through the bound's empty levels."""
-    monkeypatch.delenv("AQL_BOUND", raising=False)
     start = time.perf_counter()
     code, out, _ = run_cli(
         capsys, "lift", "verify", "--blocks", "1,0;1,1", "--r0", "2", "--bound", str(10**12)
@@ -666,9 +664,8 @@ def test_a_cone_without_roots_ends_at_once_whatever_the_bound(capsys, monkeypatc
     assert out.endswith(f"mindegree_ok: true (bound {10**12})\nall checks passed\n")
 
 
-def test_cone_under_the_cap_still_runs(capsys, monkeypatch):
+def test_cone_under_the_cap_still_runs(capsys):
     """C(4+36, 36) = 91,390 stays under MAX_CONE."""
-    monkeypatch.delenv("AQL_BOUND", raising=False)
     code, out, _ = run_cli(capsys, *BIG_CONE, "--bound", "4")
     assert code == 0
     assert out.endswith("mindegree_ok: true (bound 4)\nall checks passed\n")

@@ -167,7 +167,9 @@ def test_lax_is_weaker_than_strict():
 def test_validate_rejects_tampered_certificate():
     """One tampering per rule of `validate_certificate`, each reported
     alone and by its exact message, except the stable range, which fails
-    at both steps of the lax chain of 0,6;1,2;0,2 replayed strictly."""
+    at both steps of the lax chain of 0,6;1,2;0,2 replayed strictly.  An
+    r0 that is no block index of its step (out of range, a bool, a string)
+    is reported, not raised."""
     q = alg((1, 0), (2, 2), (0, 1))
     _, cert = is_convergent(q)
     base, top = cert.steps
@@ -184,6 +186,8 @@ def test_validate_rejects_tampered_certificate():
         ((ChainStep(base.blocks, 1), top), q, ["base step must not carry an r0"]),
         ((base, ChainStep(q, None)), q, ["step 1: missing r0"]),
         ((base, ChainStep(q, 1)), q, ["step 1: predecessor does not replay"]),
+        *(((base, ChainStep(q, r0)), q, [f"step 1: r0 {r0!r} out of range 1..3"])
+          for r0 in (7, 0, True, "2")),
         ((halved_base, ChainStep(halved, 1)), halved, ["step 1: growth condition fails"]),
         (lax_cert.steps, lax_q, ["step 1: stable range fails", "step 2: stable range fails"]),
     ]

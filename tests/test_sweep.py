@@ -13,10 +13,9 @@ invocation records its argv, exit code and stdout.  The recorded sweep is
 import contextlib
 import gzip
 import io
-import os
 from pathlib import Path
 
-from aql.cli import BOUND_ENV, run
+from aql.cli import run
 from aql.thetalift import select_r0
 
 from oracles import all_standard
@@ -46,8 +45,7 @@ def record(argv) -> str:
     return f"$ aql {' '.join(argv)}\nexit {code}\n{out.getvalue()}"
 
 
-def test_sweep_matches_golden(monkeypatch):
-    monkeypatch.delenv(BOUND_ENV, raising=False)
+def test_sweep_matches_golden():
     golden = gzip.decompress(GOLDEN.read_bytes()).decode()
     chunks = golden.split("$ aql ")[1:]
     argvs = list(sweep_argvs())
@@ -57,6 +55,5 @@ def test_sweep_matches_golden(monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ.pop(BOUND_ENV, None)
     text = "".join(record(argv) for argv in sweep_argvs())
     GOLDEN.write_bytes(gzip.compress(text.encode(), mtime=0))
