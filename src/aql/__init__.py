@@ -8,7 +8,7 @@ exact verification checks, and convergence certificates, found by a
 backward walk with no choices or generated forward for a whole frame.
 """
 
-from .halfint import CharMultiset, HalfInt, Weight, format_twice, half, twice_of
+from .halfint import CharMultiset, Weight, format_twice, twice_of
 from .partitions import (
     FrameError,
     FramedPair,
@@ -28,7 +28,7 @@ from .parabolic import (
     algebra_from_pair,
     blocks_from_dominant,
     cohomological_degree,
-    degree,
+    degree_twice,
     delta_u_p,
     enumerate_packet,
     enumerate_standard,

@@ -3,11 +3,10 @@
 Every quantity in this library lives in (1/2)Z.  Inside the code a
 half-integer k is the plain int 2k, so every formula runs in exact integer
 arithmetic and nothing is ever rounded.  The conversions happen only at the
-boundary: `twice_of` reads a `HalfInt`, an int or a "p" / "p/2" string into
-a doubled int, and `format_twice` prints one.  `HalfInt` is the boundary
-scalar: it parses, prints, compares equal and hashes, but does no
-arithmetic.  Weights are coordinate vectors split into an x-part of length
-a and a y-part of length b, matching the diagonal Cartan of U(a) x U(b).
+boundary: `twice_of` reads an int k or a "p" / "p/2" string into a doubled
+int, and `format_twice` prints one as "p" / "p/2" text.  Weights are
+coordinate vectors split into an x-part of length a and a y-part of length
+b, matching the diagonal Cartan of U(a) x U(b).
 """
 
 from __future__ import annotations
@@ -35,17 +34,15 @@ class Frozen:
     fields: its positional parameters, in order, become `_fields`, and it
     sets each once, one `object.__setattr__` call per field (a shared loop
     slowed the lift and atlas paths).  Keyword-only parameters are not
-    fields.  A class whose parameters are not its fields sets `_fields`
-    itself; only `HalfInt` does.  Equality (same class only) and hash read
-    `_compared` (all fields unless narrowed), repr reads `_fields`;
-    assignment and deletion raise AttributeError."""
+    fields.  Equality (same class only) and hash read `_compared` (all
+    fields unless narrowed), repr reads `_fields`; assignment and deletion
+    raise AttributeError."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        if "_fields" not in vars(cls):
-            code = cls.__init__.__code__
-            cls._fields = code.co_varnames[1 : code.co_argcount]
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
         names = vars(cls).get("_compared", cls._fields)
         get = attrgetter(*names)
         cls._values = property(get if len(names) > 1 else lambda self: (get(self),))
@@ -68,68 +65,12 @@ class Frozen:
     __delattr__ = __setattr__
 
 
-class HalfInt(Frozen):
-    """An exact element of (1/2)Z at the parse and print boundary.
-
-    ``HalfInt(k)`` builds the integer k; non-integral values come from
-    :meth:`from_twice` or :meth:`parse`.  Denominators other than 1 and 2
-    do not exist here and floats are rejected outright.
-    """
-
-    __slots__ = _fields = ("twice",)
-
-    def __init__(self, value: Union["HalfInt", int]):
-        twice = value.twice if isinstance(value, HalfInt) else 2 * exact_int(value)
-        object.__setattr__(self, "twice", twice)
-
-    @classmethod
-    def from_twice(cls, twice: int) -> "HalfInt":
-        """Build k from the integer 2k."""
-        h = cls.__new__(cls)
-        object.__setattr__(h, "twice", twice)
-        return h
-
-    def __reduce__(self):  # slotted and immutable: rebuild through from_twice
-        return type(self).from_twice, (self.twice,)
-
-    @classmethod
-    def parse(cls, text: str) -> "HalfInt":
-        """Parse "p" or "p/2" with p/2 in lowest terms."""
-        return cls.from_twice(twice_of(text))
-
-    def __eq__(self, other):
-        if isinstance(other, HalfInt):
-            return self.twice == other.twice
-        if type(other) is int:
-            return self.twice == 2 * other
-        return NotImplemented
-
-    def __hash__(self):
-        # integral values hash like the equal int; a float would overflow
-        if self.twice % 2 == 0:
-            return hash(self.twice // 2)
-        return hash((self.twice, 2))
-
-    def __str__(self):
-        return format_twice(self.twice)
-
-    def __repr__(self):
-        return f"HalfInt({self})"
-
-
-def half(twice: int) -> HalfInt:
-    """Shorthand for HalfInt.from_twice."""
-    return HalfInt.from_twice(twice)
-
-
-HalfIntLike = Union[HalfInt, int, str]
+HalfIntLike = Union[int, str]
 
 
 def twice_of(value: HalfIntLike) -> int:
-    """The doubled value 2k of a HalfInt, an int, or a "p" / "p/2" string
-    with p/2 in lowest terms."""
-    if isinstance(value, HalfInt):
-        return value.twice
+    """The doubled value 2k of an int k or of a "p" / "p/2" string with p/2
+    in lowest terms."""
     if not isinstance(value, str):
         return 2 * exact_int(value)
     s = value.strip()

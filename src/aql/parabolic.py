@@ -14,7 +14,7 @@ from itertools import accumulate, combinations_with_replacement, groupby
 from math import comb
 from typing import Iterable, List, Sequence, Tuple
 
-from .halfint import CharMultiset, Frozen, HalfInt, Weight, exact_int, half
+from .halfint import CharMultiset, Frozen, Weight, exact_int
 from .partitions import FrameError, FramedPair, IncompatiblePairError, Partition, is_compatible
 
 
@@ -447,12 +447,6 @@ def degree_twice(w: Weight, chi1_alpha: int, frame: Tuple[int, int]) -> int:
     partner of signature `frame`: the sum of the absolute recentred coordinates."""
     cx, cy = _frame_centres(chi1_alpha, frame)
     return sum([abs(v - cx) for v in w.x]) + sum([abs(v - cy) for v in w.y])
-
-
-def degree(w: Weight, chi1_alpha: int, frame: Tuple[int, int]) -> HalfInt:
-    """Fock-space degree of a weight relative to a dual-pair partner of
-    signature `frame`."""
-    return half(degree_twice(w, chi1_alpha, frame))
 
 
 MAX_FRAME = 13

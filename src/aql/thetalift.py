@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .halfint import CharMultiset, Frozen, HalfInt, Weight, format_twice, half
+from .halfint import CharMultiset, Frozen, Weight, exact_int, format_twice
 from .arthur import ChiPair, ParameterRestriction, _lifted, _twisted
 from .parabolic import (
     LambdaCharacter,
@@ -49,12 +49,13 @@ DEFAULT_BOUND = 3
 
 
 class LiftDatum(Frozen):
-    """Everything defining one instance of the lift construction."""
+    """Everything defining one instance of the lift construction.  The det
+    twist c is held doubled: `det_shift` is the int 2c."""
 
     def __init__(
         self, target_q: ThetaStableAlgebra, target_lambda: LambdaCharacter, r0: int,
         chi: ChiPair, source_q: ThetaStableAlgebra, source_lambda: LambdaCharacter,
-        det_shift: HalfInt, mslk: Tuple[int, int, int, int],
+        det_shift: int, mslk: Tuple[int, int, int, int],
     ):
         object.__setattr__(self, "target_q", target_q)
         object.__setattr__(self, "target_lambda", target_lambda)
@@ -62,7 +63,7 @@ class LiftDatum(Frozen):
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "source_q", source_q)
         object.__setattr__(self, "source_lambda", source_lambda)
-        object.__setattr__(self, "det_shift", det_shift)
+        object.__setattr__(self, "det_shift", exact_int(det_shift))
         object.__setattr__(self, "mslk", mslk)
 
     def to_json(self) -> dict:
@@ -72,7 +73,7 @@ class LiftDatum(Frozen):
             "r0": self.r0,
             "chi": self.chi.to_json(),
             "source": _side_json(self.source_q, self.source_lambda),
-            "det_shift": str(self.det_shift),
+            "det_shift": format_twice(self.det_shift),
             "mslk": {"m": m, "s": s, "k": k, "l": l},
         }
 
@@ -192,7 +193,7 @@ def build_source(
         chi=chi,
         source_q=source_q,
         source_lambda=LambdaCharacter(lam_prime),
-        det_shift=half(2 * lam_r0 + m_r0 - chi.alpha2),
+        det_shift=2 * lam_r0 + m_r0 - chi.alpha2,
         mslk=(m, s, k, l),
     )
 
@@ -206,7 +207,7 @@ def _parameter_check(d: LiftDatum):
         d.chi.alpha1, d.chi.alpha2, target.total,
     )
     twisted = _twisted(
-        _summands(target.blocks, _as_lambda(target, d.target_lambda).values), -d.det_shift.twice
+        _summands(target.blocks, _as_lambda(target, d.target_lambda).values), -d.det_shift
     )
     lifted.sort()
     twisted.sort()
@@ -229,7 +230,7 @@ def _inf_char_check(d: LiftDatum):
         _summands(source.blocks, _as_lambda(source, d.source_lambda).values),
         chi.alpha1, chi.alpha2, target.total,
     )  # the adjoined summand gives no string at all when n_r0 <= 0
-    lifted = _inf_char_twice(_twisted(summands, d.det_shift.twice))
+    lifted = _inf_char_twice(_twisted(summands, d.det_shift))
     entries = _inf_char_twice(_summands(target.blocks, _as_lambda(target, d.target_lambda).values))
     lifted.sort()
     entries.sort()
@@ -288,9 +289,11 @@ def _k_type_check(d: LiftDatum):
     lowest K-type), each K-type an (x, y) pair of doubled coordinate lists.
     The source lowest K-type must decompose with tail groups sized (k,s,m,l):
     k non-negative then s non-positive x-residuals, m non-negative then l
-    non-positive y-residuals."""
+    non-positive y-residuals.  The sizes are counts, and what they leave of
+    the target signature (a,b), the removed block (a-k-l, b-m-s), is a block
+    of n - n' > 0 slots."""
     m, s, k, l = d.mslk
-    source, target, chi, det = d.source_q, d.target_q, d.chi, d.det_shift.twice
+    source, target, chi, det = d.source_q, d.target_q, d.chi, d.det_shift
     low = _lowest_k_type_twice(
         source.blocks, source.signature, _as_lambda(source, d.source_lambda).values
     )
@@ -300,8 +303,12 @@ def _k_type_check(d: LiftDatum):
     xs, ys = low
     cx, cy = _frame_centres(chi.alpha1, target.signature)
     rx, ry = [v - cx for v in xs], [v - cy for v in ys]
+    a, b = target.signature
+    removed = (a - k - l, b - m - s)
     zones_ok = (
-        len(rx) == k + s
+        min(m, s, k, l, *removed) >= 0
+        and sum(removed) > 0
+        and len(rx) == k + s
         and len(ry) == m + l
         and all(v >= 0 for v in rx[:k])
         and all(v <= 0 for v in rx[k:])
@@ -318,8 +325,9 @@ def _k_type_check(d: LiftDatum):
 
 
 def verify_k_type(d: LiftDatum) -> bool:
-    """Decomposition sizes match (k,s,m,l) and the mapped lowest K-type,
-    after the det twist, equals the target lowest K-type."""
+    """Decomposition sizes match (k,s,m,l), which leave a nonempty removed
+    block, and the mapped lowest K-type, after the det twist, equals the
+    target lowest K-type."""
     return _k_type_check(d)[0]
 
 

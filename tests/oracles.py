@@ -6,7 +6,7 @@ from functools import reduce
 from itertools import combinations_with_replacement
 from operator import add
 
-from aql.halfint import CharMultiset, Weight, twice_of
+from aql.halfint import CharMultiset, Weight
 from aql.parabolic import ThetaStableAlgebra, _cone, delta_u_p, enumerate_standard, lowest_k_type
 
 
@@ -29,15 +29,13 @@ def add_weights(v: Weight, w: Weight) -> Weight:
     return Weight(tuple(map(add, v.x, w.x)), tuple(map(add, v.y, w.y)))
 
 
-def shift(w: Weight, c) -> Weight:
-    """Add the half-integer c to every coordinate (a det-power twist)."""
-    c = twice_of(c)
+def shift(w: Weight, c: int) -> Weight:
+    """Add the half-integer c/2 to every coordinate (a det-power twist), c doubled."""
     return Weight(tuple(v + c for v in w.x), tuple(v + c for v in w.y))
 
 
-def shifted(m: CharMultiset, c) -> CharMultiset:
-    """Add the half-integer c to every entry."""
-    c = twice_of(c)
+def shifted(m: CharMultiset, c: int) -> CharMultiset:
+    """Add the half-integer c/2 to every entry, c doubled."""
     return CharMultiset(twice=(v + c for v in m.entries))
 
 

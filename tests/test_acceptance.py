@@ -17,7 +17,7 @@ import pytest
 
 from aql.arthur import inf_char_param, psi_lambda_q
 from aql.convergence import is_convergent, validate_certificate
-from aql.halfint import CharMultiset, half
+from aql.halfint import CharMultiset
 from aql.parabolic import (
     LambdaCharacter,
     ThetaStableAlgebra,
@@ -228,7 +228,7 @@ def test_criterion_7_structural_identities():
 
 def test_criterion_8_packets():
     rho = {
-        n: CharMultiset(half(n + 1 - 2 * t) for t in range(1, n + 1))
+        n: CharMultiset(twice=(n + 1 - 2 * t for t in range(1, n + 1)))
         for n in range(1, MAX_TOTAL + 1)
     }
     checked = 0

@@ -10,8 +10,9 @@ from aql.arthur import (
     psi_lambda_q,
     theta_lift_param,
     twist,
+    twist_twice,
 )
-from aql.halfint import CharMultiset, half
+from aql.halfint import CharMultiset, format_twice
 from aql.parabolic import inf_char_aq
 
 from oracles import alg, all_standard, shifted
@@ -22,30 +23,30 @@ def psi(*summands):
 
 
 def test_parameter_multiset_semantics():
-    p = psi((half(1), 2), (half(7), 1), (half(1), 2))
+    p = psi(("1/2", 2), ("7/2", 1), ("1/2", 2))
     assert p.dimension == 5
-    assert p == psi((half(7), 1), (half(1), 2), (half(1), 2))
-    assert p != psi((half(7), 1), (half(1), 2))
+    assert p == psi(("7/2", 1), ("1/2", 2), ("1/2", 2))
+    assert p != psi(("7/2", 1), ("1/2", 2))
     assert [s for s in p.to_json()["summands"]] == [
         {"k": "7/2", "n": 1},
         {"k": "1/2", "n": 2},
         {"k": "1/2", "n": 2},
     ]
     with pytest.raises(ValueError):
-        psi((half(1), 0))
+        psi(("1/2", 0))
 
 
 def test_parameter_json_round_trip():
-    p = psi((half(7), 1), (1, 2), (half(-3), 1))
+    p = psi(("7/2", 1), (1, 2), ("-3/2", 1))
     assert ParameterRestriction.from_json(p.to_json()) == p
 
 
 def test_inf_char_param_examples():
-    assert inf_char_param(psi((half(1), 2))) == CharMultiset([1, 0])
+    assert inf_char_param(psi(("1/2", 2))) == CharMultiset([1, 0])
     assert inf_char_param(psi((0, 1))) == CharMultiset([0])
     assert inf_char_param(
-        psi((half(7), 1), (1, 2), (half(-3), 1))
-    ) == CharMultiset([half(7), half(3), half(1), half(-3)])
+        psi(("7/2", 1), (1, 2), ("-3/2", 1))
+    ) == CharMultiset(["7/2", "3/2", "1/2", "-3/2"])
 
 
 def test_m_coeffs_examples():
@@ -56,7 +57,7 @@ def test_m_coeffs_examples():
 
 def test_parity_check_examples():
     q = alg((1, 0), (0, 1))
-    assert parity_check([half(1), half(1)], q)
+    assert parity_check(["1/2", "1/2"], q)
     assert not parity_check([1, 0], q)
     with pytest.raises(ValueError):
         parity_check([1], q)
@@ -64,24 +65,24 @@ def test_parity_check_examples():
 
 def test_parity_of_half_m_coeffs():
     for q in all_standard(6, 1):
-        ks = [half(m) for m in m_coeffs(q)]
+        ks = [format_twice(m) for m in m_coeffs(q)]
         assert parity_check(ks, q)
 
 
 def test_psi_lambda_q_examples():
     assert psi_lambda_q(alg((1, 0), (1, 1), (0, 1)), (2, 1, 0)) == psi(
-        (half(7), 1), (1, 2), (half(-3), 1)
+        ("7/2", 1), (1, 2), ("-3/2", 1)
     )
     # single block: parameter of a det power
     assert psi_lambda_q(alg((2, 1)), (5,)) == psi((5, 3))
-    assert psi_lambda_q(alg((1, 0), (1, 1)), (4, 2)) == psi((5, 1), (half(3), 2))
+    assert psi_lambda_q(alg((1, 0), (1, 1)), (4, 2)) == psi((5, 1), ("3/2", 2))
 
 
 def test_twist_examples():
-    p = psi((half(1), 2), (0, 1))
+    p = psi(("1/2", 2), (0, 1))
     assert twist(p, 0) == p
-    assert twist(psi((half(1), 2)), half(-1)) == psi((0, 2))
-    assert inf_char_param(twist(p, 3)) == shifted(inf_char_param(p), 3)
+    assert twist(psi(("1/2", 2)), "-1/2") == psi((0, 2))
+    assert inf_char_param(twist(p, 3)) == shifted(inf_char_param(p), 6)
 
 
 def test_chi_pair_parities():
@@ -96,7 +97,7 @@ def test_chi_pair_parities():
 def test_theta_lift_param_examples():
     chi = ChiPair(1, 1, 3, 1)
     lifted = theta_lift_param(psi((0, 1)), chi, 3)
-    assert lifted == psi((0, 1), (half(1), 2))
+    assert lifted == psi((0, 1), ("1/2", 2))
     # empty source: a single sigma summand
     chi2 = ChiPair.default(4, 0)
     assert theta_lift_param(psi(), chi2, 4) == psi((0, 4))
@@ -106,10 +107,10 @@ def test_theta_lift_param_examples():
 
 def test_theta_lift_preserves_shifted_summands():
     chi = ChiPair(1, 0, 5, 2)
-    base = psi((half(3), 1), (half(-1), 1))
+    base = psi(("3/2", 1), ("-1/2", 1))
     lifted = theta_lift_param(base, chi, 5)
-    kept = psi(*((half(k), n) for k, n in lifted.summands if n != 3))
-    assert twist(kept, half(chi.alpha1 - chi.alpha2)) == base
+    kept = ParameterRestriction(twice=[(k, n) for k, n in lifted.summands if n != 3])
+    assert twist_twice(kept, chi.alpha1 - chi.alpha2) == base
     assert lifted.dimension == 5
 
 

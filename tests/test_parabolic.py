@@ -9,7 +9,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from aql.halfint import CharMultiset, Weight, exact_int, half
+from aql.halfint import CharMultiset, Weight, exact_int
 from aql.parabolic import (
     MAX_CONE,
     MAX_FRAME,
@@ -21,7 +21,6 @@ from aql.parabolic import (
     algebra_from_pair,
     blocks_from_dominant,
     cohomological_degree,
-    degree,
     degree_twice,
     delta_u_p,
     enumerate_packet,
@@ -53,7 +52,7 @@ from oracles import (
 
 
 def rho_gl(n):
-    return CharMultiset(half(n + 1 - 2 * t) for t in range(1, n + 1))
+    return CharMultiset(twice=(n + 1 - 2 * t for t in range(1, n + 1)))
 
 
 def test_block_validation():
@@ -478,7 +477,7 @@ def test_generated_algebras_skip_the_block_checks(monkeypatch):
 
 def test_inf_char_examples():
     assert inf_char_aq(alg((1, 0), (1, 1), (0, 1)), (2, 1, 0)) == CharMultiset(
-        [half(7), half(3), half(1), half(-3)]
+        ["7/2", "3/2", "1/2", "-3/2"]
     )
     assert inf_char_aq(alg((3, 2)), (0,)) == rho_gl(5)
     # U(2,1), blocks ((1,0),(1,1)): {lambda1+1, lambda2, lambda2-1}
@@ -622,12 +621,12 @@ def test_packets_at_zero_have_trivial_inf_char():
 
 def test_degree_examples():
     # centered weight has degree zero
-    w = Weight.of([half(1 + 2), half(1 + 2)], [half(1 - 2)])  # chi1=1, frame (3,1)
-    assert degree(w, 1, (3, 1)) == 0
+    w = Weight((1 + 2, 1 + 2), (1 - 2,))  # chi1=1, frame (3,1)
+    assert degree_twice(w, 1, (3, 1)) == 0
     # worked chain: source U(1,0) against target U(2,1), lambda = (1,0)
-    assert degree(Weight.of([3], []), 1, (2, 1)) == 2
+    assert degree_twice(Weight.of([3], []), 1, (2, 1)) == 4
     # permutation invariance within each part
-    assert degree(Weight.of([2, -1], [0]), 0, (2, 1)) == degree(
+    assert degree_twice(Weight.of([2, -1], [0]), 0, (2, 1)) == degree_twice(
         Weight.of([-1, 2], [0]), 0, (2, 1)
     )
 
@@ -643,8 +642,7 @@ coords = st.lists(st.integers(min_value=-60, max_value=60), max_size=8).map(tupl
 )
 def test_degree_twice_sums_the_recentred_coordinates(xs, ys, chi1, frame):
     """`degree_twice` reads the degree off the coordinates; it equals the
-    sum of the absolute `recentred` coordinates, and `degree` halves it."""
+    sum of the absolute `recentred` coordinates."""
     w = Weight(xs, ys)
     rx, ry = recentred(w, chi1, frame)
     assert degree_twice(w, chi1, frame) == sum(map(abs, rx)) + sum(map(abs, ry))
-    assert degree(w, chi1, frame) == half(degree_twice(w, chi1, frame))

@@ -16,7 +16,7 @@ from aql.arthur import (
     twist_twice,
 )
 from aql.convergence import atlas, predecessor
-from aql.halfint import CharMultiset, Weight, format_twice, half
+from aql.halfint import CharMultiset, Weight, format_twice
 from aql.parabolic import (
     LambdaCharacter,
     ThetaStableAlgebra,
@@ -75,7 +75,7 @@ def test_build_source_worked_chain():
     d = build_source(alg((1, 0), (1, 1)), (1, 0), 2, (1, 1))
     assert d.source_q == alg((1, 0))
     assert d.source_lambda == LambdaCharacter([3])  # lambda1 - lambda2 + 2
-    assert d.det_shift == -1  # lambda2 - 1
+    assert d.det_shift == -2  # twice lambda2 - 1
     assert d.mslk == (0, 0, 1, 0)
     assert d.source_q.signature == (1, 0)
     # a ChiPair must carry the pair's (n, n') = (3, 1)
@@ -141,7 +141,7 @@ def test_build_source_at_every_r0_matches_the_block_sums():
                     chi = (alpha1, (n - n_r0) % 2)
                     d = build_source(q, lam, r0, chi)
                     assert d.mslk == (ys(before), ys(after), xs(before), xs(after))
-                    assert d.det_shift == half(2 * lam[r0 - 1] + m_r0 - chi[1])
+                    assert d.det_shift == 2 * lam[r0 - 1] + m_r0 - chi[1]
                     assert d.source_q.signature == (xs(reflected), ys(reflected))
                     assert d.source_lambda.values == tuple(
                         lam_i - lam[r0 - 1] + ((n_r0 if i < r0 else -n_r0) - m_r0 + alpha1) // 2
@@ -178,12 +178,16 @@ def test_build_source_rejects_bad_inputs():
         lambda: atlas(False, False),
         lambda: enumerate_standard(1, True),
         lambda: enumerate_compatible(1, False),
+        # det_shift holds the doubled twist 2c as an int; nothing is coerced
+        lambda: tampered(build_source(alg((1, 0), (1, 1)), (1, 0), 2, (1, 1)), det_shift=-2.0),
+        lambda: tampered(build_source(alg((1, 0), (1, 1)), (1, 0), 2, (1, 1)), det_shift=True),
+        lambda: tampered(build_source(alg((1, 0), (1, 1)), (1, 0), 2, (1, 1)), det_shift="-1"),
     ],
     ids=[
         "blocks", "bool-block", "lambda", "chi-pair", "summand", "chi-tuple",
         "bool-part", "float-side", "bool-r0", "bool-predecessor-r0", "bool-bound",
         "bool-min-degree-bound", "bool-atlas-side", "bool-atlas-empty", "bool-standard-side",
-        "bool-compatible-side",
+        "bool-compatible-side", "float-det-shift", "bool-det-shift", "str-det-shift",
     ],
 )
 def test_non_int_inputs_rejected(build):
@@ -227,7 +231,7 @@ def test_verify_k_type_single_block():
 def test_howe_type_map_centered_weight():
     # all-zero tails: chi1/2-centered maps to chi2/2-centered
     chi = ChiPair(1, 1, 3, 1)
-    mu = Weight.of([half(1 + 1)], [])  # chi1/2 + (a-b)/2 with (a,b)=(2,1)
+    mu = Weight((1 + 1,), ())  # chi1/2 + (a-b)/2 with (a,b)=(2,1)
     out = howe_type_map(mu, (2, 1), chi)
     # chi2/2 + (a'-b')/2 = 1/2 + 1/2 = 1 on x, 1/2 - 1/2 = 0 on y
     assert out == Weight.of([1, 1], [0])
@@ -426,13 +430,20 @@ def test_full_report_bytes_are_pinned():
     """The sha256 of the sorted-key `full_report` JSON lines of the 1,980 data
     of the a+b <= 4 family (every r0, lambda in [-1, 1], both alpha1
     parities, bound 2): the report's bytes do not depend on how the checks
-    compute.  About 0.5 s on 2 CPUs."""
-    digest, count = hashlib.sha256(), 0
+    compute.  No check reads the paper's hypotheses: every datum passes all
+    four checks, also the 1,656 whose block r0 holds at most half the n
+    slots and the 1,376 outside the stable range n' <= min(a, b).  About
+    0.5 s on 2 CPUs."""
+    digest, count = hashlib.sha256(), Counter()
     for q, lam, r0, chi in every_r0_data(4, range(1, -2, -1)):
-        doc = full_report(q, lam, r0, chi, 2).to_json()
-        digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
-        count += 1
-    assert count == 1980
+        report = full_report(q, lam, r0, chi, 2)
+        digest.update((json.dumps(report.to_json(), sort_keys=True) + "\n").encode())
+        n, n_prime = q.total, report.datum.source_q.total
+        count["data"] += 1
+        count["all_ok"] += report.all_ok
+        count["r0 at most half"] += 2 * (n - n_prime) <= n
+        count["unstable"] += n_prime > min(q.signature)
+    assert count == {"data": 1980, "all_ok": 1980, "r0 at most half": 1656, "unstable": 1376}
     assert digest.hexdigest() == "5c0ceedb31e318cea1001c7dc51e76e0dff1e9969eb9fdf4fca145311ffb13e4"
 
 
@@ -442,7 +453,7 @@ def oracle_parameter(d):
     n - n', so a datum with n' >= n is no lift; a misaligned lambda raises
     first, the source's before the target's."""
     source = psi_lambda_q(d.source_q, d.source_lambda)
-    twisted = twist_twice(psi_lambda_q(d.target_q, d.target_lambda), -d.det_shift.twice)
+    twisted = twist_twice(psi_lambda_q(d.target_q, d.target_lambda), -d.det_shift)
     n = d.target_q.total
     return source.dimension < n and theta_lift_param(source, d.chi, n) == twisted
 
@@ -462,12 +473,16 @@ def oracle_inf_char(d):
 
 def oracle_k_type(d):
     """(verdict, whether the type map raised HoweBoundError): the K-type
-    check on `Weight`s, the oracle of `verify_k_type`."""
+    check on `Weight`s, the oracle of `verify_k_type`.  (m, s, k, l) are
+    counts that leave a removed block (a-k-l, b-m-s) of at least one slot."""
     m, s, k, l = d.mslk
+    a, b = d.target_q.signature
     low = lowest_k_type(d.source_q, d.source_lambda)
     rx, ry = recentred(low, d.chi.alpha1, d.target_q.signature)
     zones_ok = (
-        len(rx) == k + s
+        all(v >= 0 for v in (m, s, k, l, a - k - l, b - m - s))
+        and k + l + m + s < a + b
+        and len(rx) == k + s
         and len(ry) == m + l
         and all(v >= 0 for v in rx[:k])
         and all(v <= 0 for v in rx[k:])
@@ -499,7 +514,7 @@ def tamperings(d):
     chi = d.chi
     for step in (2, -2):
         yield tampered(d, chi=ChiPair(chi.alpha1 + step, chi.alpha2, chi.n, chi.n_prime))
-        yield tampered(d, det_shift=half(d.det_shift.twice + step))
+        yield tampered(d, det_shift=d.det_shift + step)
     m, s, k, l = d.mslk
     moved = {(m, s - 1, k + 1, l), (m, s + 1, k - 1, l), (m + 1, s, k, l - 1), (m - 1, s, k, l + 1)}
     for order in sorted(set(permutations(d.mslk)) - {d.mslk} | moved):
@@ -509,7 +524,7 @@ def tamperings(d):
     yield tampered(d, target_q=ThetaStableAlgebra([(b, a) for a, b in d.target_q.blocks]))
     itself = dict(target_q=d.source_q, target_lambda=d.source_lambda)
     yield tampered(d, **itself)
-    yield tampered(d, **itself, det_shift=half(chi.alpha1 - chi.alpha2))
+    yield tampered(d, **itself, det_shift=chi.alpha1 - chi.alpha2)
 
 
 def outcome(check, d):
@@ -529,7 +544,8 @@ def test_checks_on_doubled_ints_match_the_value_object_oracles():
     meets both verdicts and a raised exception, the parameter and the
     infinitesimal-character checks each read False on some data with
     n' >= n that raise nothing, and the type map's HoweBoundError reads as
-    False.  About 11 s on 2 CPUs."""
+    False.  No tampering that changes (m, s, k, l) or has n' >= n passes
+    the K-type check.  About 11 s on 2 CPUs."""
     start = time.perf_counter()
     pairs = (
         ("parameter", verify_parameter_identity, oracle_parameter),
@@ -539,28 +555,36 @@ def test_checks_on_doubled_ints_match_the_value_object_oracles():
     tally, unlifted, howe_false, data = Counter(), Counter(), 0, 0
 
     def compare(d):
+        """Each check's outcome by name, once all three match their oracles."""
         nonlocal howe_false
+        outcomes = {}
         for name, check, oracle in pairs:
-            got = outcome(check, d)
+            got = outcomes[name] = outcome(check, d)
             assert got == outcome(oracle, d), (name, d)
             tally[name, str(got) if isinstance(got, bool) else got[0]] += 1
             unlifted[name] += d.source_q.total >= d.target_q.total and got is False
         howe = outcome(oracle_k_type, d)
         howe_false += howe == (False, True)
+        return outcomes
 
     for q, lam, r0, chi in every_r0_data(5, range(2, -3, -1)):
         compare(build_source(q, lam, r0, chi))
         data += 1
+    refused = 0
     for q, lam, r0, chi in every_r0_data(4, range(1, -2, -1)):
-        for d in tamperings(build_source(q, lam, r0, chi)):
-            compare(d)
+        original = build_source(q, lam, r0, chi)
+        for d in tamperings(original):
+            k_type = compare(d)["k_type"]
             data += 1
+            if d.mslk != original.mslk or d.source_q.total >= d.target_q.total:
+                assert k_type is not True, d
+                refused += 1
     elapsed = time.perf_counter() - start
     print(f"{data} data, {elapsed:.1f}s: {sorted(tally.items())}, HoweBoundError {howe_false}, "
           f"n' >= n False {sorted(unlifted.items())}")
     for name, _, _ in pairs:
         assert tally[name, "True"] and tally[name, "False"] and tally[name, "AlignmentError"], name
-    assert unlifted["parameter"] and unlifted["inf_char"] and howe_false
+    assert unlifted["parameter"] and unlifted["inf_char"] and howe_false and refused
 
 
 class Untouchable:
@@ -601,7 +625,7 @@ def test_inf_char_check_refuses_a_source_as_large_as_its_target():
         d,
         source_q=d.target_q,
         source_lambda=d.target_lambda,
-        det_shift=half(d.chi.alpha1 - d.chi.alpha2),
+        det_shift=d.chi.alpha1 - d.chi.alpha2,
     )
     assert verify_inf_char(same) is False
     assert verify_parameter_identity(same) is False
@@ -662,7 +686,7 @@ def test_build_source_inverts_exactly():
             d = build_source(q, lam, r0, None)
             ms = m_coeffs(q)
             n_r0 = q.levi_sizes[r0 - 1]
-            lam_r0 = (d.det_shift.twice + d.chi.alpha2 - ms[r0 - 1]) // 2
+            lam_r0 = (d.det_shift + d.chi.alpha2 - ms[r0 - 1]) // 2
             recovered = []
             others = [i for i in range(1, q.r + 1) if i != r0]
             for value, i in zip(d.source_lambda.values, others):

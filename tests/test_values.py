@@ -17,9 +17,9 @@ import pytest
 
 from aql.arthur import ChiPair, ParameterRestriction
 from aql.convergence import AtlasRow, ChainStep, ConvergenceCertificate
-from aql.halfint import CharMultiset, Frozen, HalfInt, Weight
+from aql.halfint import CharMultiset, Frozen, Weight
 from aql.parabolic import (
-    LambdaCharacter, ThetaStableAlgebra, _cone, degree, degree_twice, enumerate_standard, recentred,
+    LambdaCharacter, ThetaStableAlgebra, _cone, degree_twice, enumerate_standard, recentred,
 )
 from aql.partitions import FramedPair, Partition
 from aql.thetalift import LiftDatum, LiftReport, build_source, full_report
@@ -31,7 +31,6 @@ BASE_STEP = ChainStep(blocks=ThetaStableAlgebra(((2, 0),)), r0=None)
 
 # class -> (keyword arguments under the field names, the fields they set)
 CASES = {
-    HalfInt: ({"value": 3}, ("twice",)),
     Weight: ({"x": (2, 0), "y": (-1,)}, ("x", "y")),
     CharMultiset: ({"entries": [1, "1/2", 2]}, ("entries",)),
     Partition: ({"rows": [3, 1, 0]}, ("rows",)),
@@ -162,10 +161,7 @@ def test_fields_are_the_positional_constructor_parameters(cls):
         if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
     ][1:]
     assert cls._fields == CASES[cls][1]
-    if cls is HalfInt:  # its parameter is `value`, its field `twice`
-        assert cls._fields == ("twice",) and params == ["value"]
-    else:
-        assert list(cls._fields) == params
+    assert list(cls._fields) == params
 
 
 def test_a_new_subclass_takes_its_fields_from_its_constructor():
@@ -225,7 +221,7 @@ def test_weights_are_not_ordered():
             compare()
 
 
-@pytest.mark.parametrize("func", [recentred, degree_twice, degree, _cone], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("func", [recentred, degree_twice, _cone], ids=lambda f: f.__name__)
 def test_every_degree_names_its_partner_frame(func):
     """A degree is always taken against an explicit partner signature."""
     frame = inspect.signature(func).parameters["frame"]
@@ -246,16 +242,6 @@ def test_reprs_are_pinned():
     assert repr(q) == "ThetaStableAlgebra(blocks=((1, 0), (1, 1)))"
     assert repr(Weight((2, 0), (-1,))) == "Weight(x=(2, 0), y=(-1,))"
     assert repr(ChiPair(1, 1, 3, 1)) == "ChiPair(alpha1=1, alpha2=1, n=3, n_prime=1)"
-    assert repr(HalfInt.parse("-3/2")) == "HalfInt(-3/2)"
-
-
-def test_a_halfint_in_a_set_stays_found():
-    h = HalfInt(1)
-    found = {h}
-    with pytest.raises(AttributeError):
-        h.twice = 5
-    assert h in found and HalfInt(1) in found and 1 in found
-    assert pickle.loads(pickle.dumps(h)) == h == HalfInt.from_twice(2)
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
