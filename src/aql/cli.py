@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import re
 import sys
 import time
-from itertools import chain, takewhile
+from itertools import chain, dropwhile, takewhile
 from typing import Iterable, Iterator, List, Optional
 
 from . import __version__
@@ -41,6 +40,7 @@ from .thetalift import DEFAULT_BOUND, build_source, full_report
 
 LAMBDA_HELP = "per-block character, e.g. '2,1,0' or '-1,-2' (default 0)"
 INTEGER_LIST = re.compile(r"-?\d+(,-?\d+)*")
+COMMANDS = ("partitions", "aq", "packet", "lift", "convergence", "atlas")
 
 
 def _write(chunks: Iterable[str], out: Optional[str] = None) -> None:
@@ -78,12 +78,14 @@ def _note(text: str, stream=None) -> None:
 
 
 def _emit(doc) -> None:
+    import json  # here, so that a run that writes no JSON never loads it
     _write([json.dumps(doc, indent=2) + "\n"])
 
 
 def _json_list(items) -> Iterator[str]:
     """json.dumps(list(items), indent=2) + "\\n", one element at a time:
     each dumped on its own, its lines indented two spaces more."""
+    import json
     sep = "[\n  "
     for item in items:
         yield sep + json.dumps(item, indent=2).replace("\n", "\n  ")
@@ -107,7 +109,7 @@ def _parse_chi(text: Optional[str]):
 def cmd_partitions_enumerate(args) -> int:
     if args.count:
         _check_frame(args.a, args.b)
-        _emit(_standard_count(args.a, args.b))  # one algebra per pair, none built
+        _write([f"{_standard_count(args.a, args.b)}\n"])  # one algebra per pair, none built
     else:
         _write(_json_list(p.to_json() for p in enumerate_compatible(args.a, args.b)))
     return 0
@@ -201,7 +203,9 @@ def cmd_atlas(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argparse tree of every command, or of `command` alone, which
+    parses an argv that names `command` as the whole tree does."""
     parser = argparse.ArgumentParser(
         prog="aql",
         description="Exact invariants of cohomological representations of U(a,b).",
@@ -212,75 +216,97 @@ def build_parser() -> argparse.ArgumentParser:
         help="after the command, write run metadata (exit code, elapsed time,"
         " atlas rows, lift verify cone size and bound) as one JSON line on stderr",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the top usage line lists every command either way; only the whole tree
+    # can raise "invalid choice", which would name the metavar for `command`
+    lean = {"metavar": "{" + ",".join(COMMANDS) + "}"} if command else {}
+    sub = parser.add_subparsers(dest="command", required=True, **lean)
 
-    p_partitions = sub.add_parser("partitions", help="partition-pair classification")
-    psub = p_partitions.add_subparsers(dest="subcommand", required=True)
-    p_enum = psub.add_parser("enumerate", help="enumerate compatible pairs in a frame")
-    p_enum.add_argument("--a", type=int, required=True)
-    p_enum.add_argument("--b", type=int, required=True)
-    p_enum.add_argument("--count", action="store_true", help="print only the count")
-    p_enum.set_defaults(func=cmd_partitions_enumerate)
+    if command in (None, "partitions"):
+        p_partitions = sub.add_parser("partitions", help="partition-pair classification")
+        psub = p_partitions.add_subparsers(dest="subcommand", required=True)
+        p_enum = psub.add_parser("enumerate", help="enumerate compatible pairs in a frame")
+        p_enum.add_argument("--a", type=int, required=True)
+        p_enum.add_argument("--b", type=int, required=True)
+        p_enum.add_argument("--count", action="store_true", help="print only the count")
+        p_enum.set_defaults(func=cmd_partitions_enumerate)
 
-    p_aq = sub.add_parser("aq", help="invariants of the module of (blocks, lambda)")
-    p_aq.add_argument("--blocks", required=True, help='block list "a1,b1;a2,b2;..."')
-    p_aq.add_argument("--lambda", help=LAMBDA_HELP)
-    p_aq.set_defaults(func=cmd_aq)
+    if command in (None, "aq"):
+        p_aq = sub.add_parser("aq", help="invariants of the module of (blocks, lambda)")
+        p_aq.add_argument("--blocks", required=True, help='block list "a1,b1;a2,b2;..."')
+        p_aq.add_argument("--lambda", help=LAMBDA_HELP)
+        p_aq.set_defaults(func=cmd_aq)
 
-    p_packet = sub.add_parser("packet", help="enumerate the packet of (blocks, lambda)")
-    p_packet.add_argument("--blocks", required=True)
-    p_packet.add_argument("--lambda", help=LAMBDA_HELP)
-    p_packet.set_defaults(func=cmd_packet)
+    if command in (None, "packet"):
+        p_packet = sub.add_parser("packet", help="enumerate the packet of (blocks, lambda)")
+        p_packet.add_argument("--blocks", required=True)
+        p_packet.add_argument("--lambda", help=LAMBDA_HELP)
+        p_packet.set_defaults(func=cmd_packet)
 
-    p_lift = sub.add_parser("lift", help="theta-lift construction and verification")
-    lsub = p_lift.add_subparsers(dest="subcommand", required=True)
-    for name, fn in (("construct", cmd_lift_construct), ("verify", cmd_lift_verify)):
-        p = lsub.add_parser(name)
-        p.add_argument("--blocks", required=True)
-        p.add_argument("--lambda", help=LAMBDA_HELP)
-        p.add_argument("--r0", type=int, help="1-based distinguished block (default: first maximal)")
-        p.add_argument(
-            "--chi",
-            help="character exponents 'a1,a2', e.g. '-1,1' (default: minimal parities)",
-        )
-        if name == "verify":
-            p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
-                           help=f"cone bound for the degree check (default {DEFAULT_BOUND})")
-            p.add_argument("--json", action="store_true", help="full JSON report")
-        p.set_defaults(func=fn)
+    if command in (None, "lift"):
+        p_lift = sub.add_parser("lift", help="theta-lift construction and verification")
+        lsub = p_lift.add_subparsers(dest="subcommand", required=True)
+        for name, fn in (("construct", cmd_lift_construct), ("verify", cmd_lift_verify)):
+            p = lsub.add_parser(name)
+            p.add_argument("--blocks", required=True)
+            p.add_argument("--lambda", help=LAMBDA_HELP)
+            p.add_argument("--r0", type=int, help="1-based distinguished block (default: first maximal)")
+            p.add_argument(
+                "--chi",
+                help="character exponents 'a1,a2', e.g. '-1,1' (default: minimal parities)",
+            )
+            if name == "verify":
+                p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+                               help=f"cone bound for the degree check (default {DEFAULT_BOUND})")
+                p.add_argument("--json", action="store_true", help="full JSON report")
+            p.set_defaults(func=fn)
 
-    p_conv = sub.add_parser("convergence", help="convergence certificates")
-    csub = p_conv.add_subparsers(dest="subcommand", required=True)
-    p_check = csub.add_parser("check")
-    p_check.add_argument("--blocks", required=True)
-    p_check.add_argument("--lax", action="store_true", help="literal stable-range index range")
-    p_check.set_defaults(func=cmd_convergence_check)
+    if command in (None, "convergence"):
+        p_conv = sub.add_parser("convergence", help="convergence certificates")
+        csub = p_conv.add_subparsers(dest="subcommand", required=True)
+        p_check = csub.add_parser("check")
+        p_check.add_argument("--blocks", required=True)
+        p_check.add_argument("--lax", action="store_true", help="literal stable-range index range")
+        p_check.set_defaults(func=cmd_convergence_check)
 
-    p_atlas = sub.add_parser("atlas", help="classification table for one signature")
-    p_atlas.add_argument("--a", type=int, required=True)
-    p_atlas.add_argument("--b", type=int, required=True)
-    p_atlas.add_argument("--format", choices=("json", "tsv"), default="json")
-    p_atlas.add_argument("--out", help="write to a file instead of stdout")
-    p_atlas.add_argument("--lax", action="store_true")
-    p_atlas.set_defaults(func=cmd_atlas)
+    if command in (None, "atlas"):
+        p_atlas = sub.add_parser("atlas", help="classification table for one signature")
+        p_atlas.add_argument("--a", type=int, required=True)
+        p_atlas.add_argument("--b", type=int, required=True)
+        p_atlas.add_argument("--format", choices=("json", "tsv"), default="json")
+        p_atlas.add_argument("--out", help="write to a file instead of stdout")
+        p_atlas.add_argument("--lax", action="store_true")
+        p_atlas.set_defaults(func=cmd_atlas)
 
     return parser
+
+
+def _abbreviates(arg: str, option: str) -> bool:
+    """Whether `arg` is `option` or a prefix of it that argparse may take for it."""
+    return len(arg) > 2 and option.startswith(arg)
 
 
 def _wants_meta(argv: List[str]) -> bool:
     """Whether --meta (or an abbreviation argparse accepts) comes before
     the subcommand; read off the raw argv so that usage errors report too."""
     top = takewhile(lambda arg: arg.startswith("-"), argv)
-    return any(len(arg) > 2 and "--meta".startswith(arg) for arg in top)
+    return any(_abbreviates(arg, "--meta") for arg in top)
+
+
+def _command(argv: List[str]) -> Optional[str]:
+    """The command argv names, when nothing but --meta comes before it; else
+    None (help, an unknown word, no word), which needs the whole tree."""
+    word = next(dropwhile(lambda arg: _abbreviates(arg, "--meta"), argv), None)
+    return word if word in COMMANDS else None
 
 
 def _attach_values(argv: List[str]) -> List[str]:
-    """argv with each integer list after --lambda or --chi joined to its
-    option as "--lambda=-1,-2": argparse reads a separate "-1,-2" as an
-    option."""
+    """argv with each integer list after --lambda or --chi (or an
+    abbreviation of either) joined to its option as "--lambda=-1,-2":
+    argparse reads a separate "-1,-2" as an option."""
     out: List[str] = []
     for arg in argv:
-        if out and out[-1] in ("--lambda", "--chi") and INTEGER_LIST.fullmatch(arg):
+        if (out and INTEGER_LIST.fullmatch(arg)
+                and (_abbreviates(out[-1], "--lambda") or _abbreviates(out[-1], "--chi"))):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -290,15 +316,21 @@ def _attach_values(argv: List[str]) -> List[str]:
 def run(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     start = time.perf_counter()
+
+    def since_start() -> float:
+        return round(time.perf_counter() - start, 6)
+
     counts = {}  # what a command counted, for --meta
     try:
-        args = build_parser().parse_args(_attach_values(argv))
+        args = build_parser(_command(argv)).parse_args(_attach_values(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help, and ignores a failed write
         code = exc.code if isinstance(exc.code, int) else 2
         _note("", sys.stdout)
         _note("")
+        stages = {"parse_s": since_start()}
     else:
+        stages = {"parse_s": since_start()}
         args.counts = counts
         try:
             code = args.func(args)
@@ -308,9 +340,12 @@ def run(argv: Optional[List[str]] = None) -> int:
         except Exception as exc:  # exit 1 would read as "verification false"
             _note(f"internal error: {type(exc).__name__}: {exc}\n")
             code = 3
+        # a difference of two marks, so that the stages sum to at most elapsed_s
+        stages["command_s"] = round(since_start() - stages["parse_s"], 6)
     if _wants_meta(argv):
-        meta = {"tool": "aql", "version": __version__, "argv": argv,
-                "exit": code, "elapsed_s": round(time.perf_counter() - start, 6), **counts}
+        import json
+        meta = {"tool": "aql", "version": __version__, "argv": argv, "exit": code,
+                "elapsed_s": since_start(), "stages": stages, **counts}
         _note(json.dumps(meta) + "\n")
     return code
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
-from aql.cli import run
+from aql.cli import _attach_values, _command, build_parser, run
 from aql.convergence import atlas
 from aql.parabolic import ThetaStableAlgebra
 from aql.partitions import enumerate_compatible
@@ -181,13 +182,20 @@ def test_negative_values_attach_with_equals(capsys):
 
 
 def test_negative_values_may_follow_as_their_own_token(capsys):
+    """A separate integer list after --lambda or --chi, spelt out or
+    abbreviated, reads as the "=" form: the same bytes and exit code."""
     base = ("lift", "construct", "--blocks", "1,0;1,1", "--r0", "2")
-    for values in (("--lambda", "-1,-2", "--chi", "-1,1"), ("--lambda=-1,-2", "--chi=-1,1")):
-        code, out, _ = run_cli(capsys, *base, *values)
-        assert code == 0, values
-        doc = check_schema(out, "lift_datum")
-        assert doc["target"]["lambda"] == [-1, -2]
-        assert doc["chi"] == {"alpha1": -1, "alpha2": 1}
+    joined = run_cli(capsys, *base, "--lambda=-1,-2", "--chi=-1,1")
+    code, out, _ = joined
+    assert code == 0
+    doc = check_schema(out, "lift_datum")
+    assert doc["target"]["lambda"] == [-1, -2]
+    assert doc["chi"] == {"alpha1": -1, "alpha2": 1}
+    for lam, chi in (("--lambda", "--chi"), ("--lam", "--ch"), ("--l", "--c")):
+        assert run_cli(capsys, *base, lam, "-1,-2", chi, "-1,1") == joined, (lam, chi)
+    aq = ("aq", "--blocks", "1,0;0,1")
+    abbreviated = run_cli(capsys, *aq, "--lam", "-1,-2")
+    assert abbreviated == run_cli(capsys, *aq, "--lambda=-1,-2") and abbreviated[0] == 0
     # only an integer list is attached: any other token still reads as an option
     for bad in ("-1,-x", "-1,", "--1", "-1;-2"):
         code, out, err = run_cli(capsys, "aq", "--blocks", "1,0;0,1", "--lambda", bad)
@@ -533,6 +541,122 @@ def test_meta_goes_to_stderr_only(capsys, monkeypatch):
         assert meta["argv"] == ["--meta", *argv]
         assert meta["exit"] == exit_code
         assert meta["elapsed_s"] >= 0
+        # a usage error runs no command, so it has no command stage
+        stages = meta["stages"]
+        usage_error = plain_err.startswith("usage:")
+        assert list(stages) == (["parse_s"] if usage_error else ["parse_s", "command_s"])
+        assert all(value >= 0 for value in stages.values())
+        # in whole microseconds, the unit all three are rounded to
+        micros = [round(value * 1e6) for value in stages.values()]
+        assert sum(micros) <= round(meta["elapsed_s"] * 1e6)
+
+
+# argv that name a command with nothing but --meta before it: run() parses
+# them with that command's branch of the parser tree alone
+LEAN_ARGV = [
+    ("partitions", "enumerate", "--a", "2", "--b", "2", "--count"),
+    ("partitions", "enumerate", "--a", "2", "--b", "1"),
+    ("aq", "--blocks", "1,0;1,1;0,1", "--lambda", "2,1,0"),
+    ("aq", "--blocks", "2,1"),
+    ("packet", "--blocks", "1,0;0,1", "--lambda=1,0"),
+    ("lift", "construct", "--blocks", "1,0;2,2;0,1", "--r0", "2", "--chi", "0,0"),
+    ("lift", "verify", "--blocks", "1,0;1,1", "--lambda", "1,0", "--r0", "2", "--chi", "1,1"),
+    ("lift", "verify", "--blocks", "1,0;2,2;0,1", "--json", "--bound", "2"),
+    ("convergence", "check", "--blocks", "1,0;2,2;0,1", "--lax"),
+    ("atlas", "--a", "2", "--b", "2", "--format", "tsv", "--out", "x.tsv", "--lax"),
+    ("--meta", "aq", "--blocks", "1,1"),
+    ("--me", "lift", "verify", "--blocks", "1,0;1,1"),
+    ("--m", "--meta", "atlas", "--a", "1", "--b", "1"),
+    ("aq", "--blocks", "1,0;0,1", "--lambda", "-1,-2"),
+    ("aq", "--blocks", "1,0;0,1", "--lam", "-1,-2"),
+    ("lift", "construct", "--blocks", "1,0;1,1", "--ch", "-1,1"),
+    # every command's and subcommand's help, after it
+    ("partitions", "--help"),
+    ("partitions", "enumerate", "-h"),
+    ("aq", "--help"),
+    ("packet", "-h"),
+    ("lift", "-h"),
+    ("lift", "construct", "--help"),
+    ("lift", "verify", "--help"),
+    ("convergence", "--help"),
+    ("convergence", "check", "-h"),
+    ("atlas", "--help"),
+    # usage errors inside a command
+    ("aq",),
+    ("lift",),
+    ("lift", "bogus"),
+    ("partitions", "enumerate", "--a", "2"),
+    ("aq", "--blocks", "1,0", "--bogus"),
+    ("lift", "verify", "--blocks", "1,1", "--bound", "x"),
+    ("atlas", "--a", "2", "--b", "2", "--format", "xml"),
+    ("convergence", "check", "--blocks", "1,1", "--la", "-1,1"),
+]
+# argv that only the whole tree reads as argparse would
+WHOLE_ARGV = [
+    (),
+    ("--help",),
+    ("-h", "aq"),
+    ("--meta", "--help", "aq"),
+    ("--meta=x", "aq", "--blocks", "1,1"),
+    ("--", "aq", "--blocks", "1,1"),
+    ("frobnicate",),
+    ("--meta", "frobnicate"),
+    ("--bogus", "aq", "--blocks", "1,1"),
+    ("--meta",),
+]
+
+
+def _parsed(parser, argv):
+    """What parse_args makes of argv, as run() calls it: the Namespace, or
+    the exit code with what argparse wrote on stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parser.parse_args(_attach_values(list(argv)))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def test_the_lean_parser_tree_parses_as_the_whole_tree():
+    """The tree run() builds for an argv (one command's branch, or all of
+    them) gives the Namespace, exit code, help and usage errors of the
+    whole tree; comparing every command's help catches an argument added
+    to one tree and not the other."""
+    whole = build_parser()
+    for argv in LEAN_ARGV:
+        command = _command(list(argv))
+        assert command == next(arg for arg in argv if not arg.startswith("-")), argv
+        assert _parsed(build_parser(command), argv) == _parsed(whole, argv), argv
+    for argv in WHOLE_ARGV:
+        assert _command(list(argv)) is None, argv
+    code, out, err = _parsed(whole, ("--help",))
+    assert (code, err) == (0, "")
+    commands = ("partitions", "aq", "packet", "lift", "convergence", "atlas")
+    assert "{" + ",".join(commands) + "}" in out.splitlines()[0]
+    listed = re.findall(r"^    (\w+) ", out, re.MULTILINE)
+    assert tuple(listed) == commands, out
+
+
+# runs that write no JSON, and one that does
+IMPORTS = [
+    (("atlas", "--a", "2", "--b", "1", "--format", "tsv"), False),
+    (("lift", "verify", "--blocks", "1,0;1,1"), False),
+    (("partitions", "enumerate", "--a", "2", "--b", "2", "--count"), False),
+    (("aq",), False),
+    (("aq", "--blocks", "1,1"), True),
+]
+
+
+@pytest.mark.parametrize("argv, loads_json", IMPORTS)
+def test_json_is_imported_only_to_write_json(argv, loads_json, capsys):
+    """A fresh `aql` run loads `json` only to write a JSON document; its
+    stdout and exit code are those of run() in this process."""
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "aql.cli", *argv],
+                          env=SRC_ENV, capture_output=True, text=True, timeout=60)
+    imported = re.findall(r"^import time:.*\|\s+(\S+)$", done.stderr, re.MULTILINE)
+    assert "argparse" in imported, done.stderr
+    assert ("json" in imported) == loads_json
+    assert (done.returncode, done.stdout) == run_cli(capsys, *argv)[:2]
 
 
 def test_meta_counts_the_atlas_rows(capsys, tmp_path):
