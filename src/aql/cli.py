@@ -2,21 +2,24 @@
 
 Subcommands mirror the library surface: partition-pair enumeration,
 invariants of one module, packet listing, lift construction and
-verification, convergence checks and the atlas table.  Output is
-deterministic: the same argv gives byte-identical stdout, whatever the environment.
+verification, convergence checks and the atlas table.  The grammar is one
+table, GRAMMAR: a well-formed argv is read straight off it, and the argparse
+tree built from it reads every other argv and writes all help and usage
+errors.  Output is deterministic: the same argv gives byte-identical
+stdout, whatever the environment.
 Exit codes: 0 success / verified, 1 a verification returned false,
 2 invalid input or a failed write, 3 internal error (an unexpected exception).
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
 import re
 import sys
 import time
-from itertools import chain, dropwhile, takewhile
+from itertools import chain, takewhile
+from types import SimpleNamespace
 from typing import Iterable, Iterator, List, Optional
 
 from . import __version__
@@ -40,7 +43,6 @@ from .thetalift import DEFAULT_BOUND, build_source, full_report
 
 LAMBDA_HELP = "per-block character, e.g. '2,1,0' or '-1,-2' (default 0)"
 INTEGER_LIST = re.compile(r"-?\d+(,-?\d+)*")
-COMMANDS = ("partitions", "aq", "packet", "lift", "convergence", "atlas")
 
 
 def _write(chunks: Iterable[str], out: Optional[str] = None) -> None:
@@ -93,17 +95,29 @@ def _json_list(items) -> Iterator[str]:
     yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
+def _ints(option: str, text: str) -> List[int]:
+    """The comma-separated integers of `text`, given to `option`."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(int(entry))
+        except ValueError:
+            raise ValueError(f"{option}: non-integer {entry!r} in {text!r}") from None
+    return values
+
+
 def _parse_lambda(text: Optional[str], q: ThetaStableAlgebra) -> LambdaCharacter:
-    return _as_lambda(q, None if text is None else LambdaCharacter.parse(text))
+    if text is None:
+        return _as_lambda(q, None)
+    return _as_lambda(q, _ints("--lambda", text) if text.strip() else ())
 
 
 def _parse_chi(text: Optional[str]):
     if text is None:
         return None
-    parts = text.split(",")
-    if len(parts) != 2:
+    if text.count(",") != 1:
         raise ValueError(f"--chi expects 'a1,a2', got {text!r}")
-    return (int(parts[0]), int(parts[1]))
+    return tuple(_ints("--chi", text))
 
 
 def cmd_partitions_enumerate(args) -> int:
@@ -203,81 +217,147 @@ def cmd_atlas(args) -> int:
     return 0
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argparse tree of every command, or of `command` alone, which
-    parses an argv that names `command` as the whole tree does."""
+FLAG = "flag"  # the kind of an option that takes no value
+
+
+def _opt(name: str, kind=str, default=None, required: bool = False, help: Optional[str] = None):
+    """One option of the grammar, as (name, kind, default, required, help).
+    `kind` is str, int, FLAG (a switch, False unless given) or the tuple of
+    the values it may take."""
+    return name, kind, False if kind is FLAG else default, required, help
+
+
+_BLOCKS = _opt("--blocks", required=True)
+_LAMBDA = _opt("--lambda", help=LAMBDA_HELP)
+_CHI = _opt("--chi", help="character exponents 'a1,a2', e.g. '-1,1' (default: minimal parities)")
+_FRAME = (_opt("--a", int, required=True), _opt("--b", int, required=True))
+_SOURCE = (
+    _BLOCKS,
+    _LAMBDA,
+    _opt("--r0", int, help="1-based distinguished block (default: first maximal)"),
+    _CHI,
+)
+META = _opt(
+    "--meta",
+    FLAG,
+    help="after the command, write run metadata (exit code, elapsed time,"
+    " atlas rows, lift verify cone size and bound) as one JSON line on stderr",
+)
+# The whole CLI grammar, in help order.  A command is (help, handler,
+# options), or (help, {subcommand: (help, handler, options)}).
+GRAMMAR = {
+    "partitions": ("partition-pair classification", {
+        "enumerate": ("enumerate compatible pairs in a frame", cmd_partitions_enumerate,
+                      (*_FRAME, _opt("--count", FLAG, help="print only the count"))),
+    }),
+    "aq": ("invariants of the module of (blocks, lambda)", cmd_aq,
+           (_opt("--blocks", required=True, help='block list "a1,b1;a2,b2;..."'), _LAMBDA)),
+    "packet": ("enumerate the packet of (blocks, lambda)", cmd_packet, (_BLOCKS, _LAMBDA)),
+    "lift": ("theta-lift construction and verification", {
+        "construct": (None, cmd_lift_construct, _SOURCE),
+        "verify": (None, cmd_lift_verify, (
+            *_SOURCE,
+            _opt("--bound", int, DEFAULT_BOUND,
+                 help=f"cone bound for the degree check (default {DEFAULT_BOUND})"),
+            _opt("--json", FLAG, help="full JSON report"),
+        )),
+    }),
+    "convergence": ("convergence certificates", {
+        "check": (None, cmd_convergence_check,
+                  (_BLOCKS, _opt("--lax", FLAG, help="literal stable-range index range"))),
+    }),
+    "atlas": ("classification table for one signature", cmd_atlas, (
+        *_FRAME,
+        _opt("--format", ("json", "tsv"), "json"),
+        _opt("--out", help="write to a file instead of stdout"),
+        _opt("--lax", FLAG),
+    )),
+}
+
+
+def _add_options(parser, options) -> None:
+    for name, kind, default, required, help in options:
+        if kind is FLAG:
+            parser.add_argument(name, action="store_true", default=default, help=help)
+        elif isinstance(kind, tuple):
+            parser.add_argument(name, choices=kind, default=default, required=required, help=help)
+        else:
+            parser.add_argument(name, type=kind, default=default, required=required, help=help)
+
+
+def _add_command(sub, name: str, help: Optional[str], handler, options) -> None:
+    # a help=None would still list the command, with an empty line of help
+    parser = sub.add_parser(name, **({"help": help} if help else {}))
+    _add_options(parser, options)
+    parser.set_defaults(func=handler)
+
+
+def build_parser():
+    """The argparse tree of GRAMMAR: it reads every argv that `_read_plain`
+    declines, and writes all help and usage errors."""
+    import argparse  # here, so that a well-formed argv never loads it
+
     parser = argparse.ArgumentParser(
         prog="aql",
         description="Exact invariants of cohomological representations of U(a,b).",
     )
-    parser.add_argument(
-        "--meta",
-        action="store_true",
-        help="after the command, write run metadata (exit code, elapsed time,"
-        " atlas rows, lift verify cone size and bound) as one JSON line on stderr",
-    )
-    # the top usage line lists every command either way; only the whole tree
-    # can raise "invalid choice", which would name the metavar for `command`
-    lean = {"metavar": "{" + ",".join(COMMANDS) + "}"} if command else {}
-    sub = parser.add_subparsers(dest="command", required=True, **lean)
-
-    if command in (None, "partitions"):
-        p_partitions = sub.add_parser("partitions", help="partition-pair classification")
-        psub = p_partitions.add_subparsers(dest="subcommand", required=True)
-        p_enum = psub.add_parser("enumerate", help="enumerate compatible pairs in a frame")
-        p_enum.add_argument("--a", type=int, required=True)
-        p_enum.add_argument("--b", type=int, required=True)
-        p_enum.add_argument("--count", action="store_true", help="print only the count")
-        p_enum.set_defaults(func=cmd_partitions_enumerate)
-
-    if command in (None, "aq"):
-        p_aq = sub.add_parser("aq", help="invariants of the module of (blocks, lambda)")
-        p_aq.add_argument("--blocks", required=True, help='block list "a1,b1;a2,b2;..."')
-        p_aq.add_argument("--lambda", help=LAMBDA_HELP)
-        p_aq.set_defaults(func=cmd_aq)
-
-    if command in (None, "packet"):
-        p_packet = sub.add_parser("packet", help="enumerate the packet of (blocks, lambda)")
-        p_packet.add_argument("--blocks", required=True)
-        p_packet.add_argument("--lambda", help=LAMBDA_HELP)
-        p_packet.set_defaults(func=cmd_packet)
-
-    if command in (None, "lift"):
-        p_lift = sub.add_parser("lift", help="theta-lift construction and verification")
-        lsub = p_lift.add_subparsers(dest="subcommand", required=True)
-        for name, fn in (("construct", cmd_lift_construct), ("verify", cmd_lift_verify)):
-            p = lsub.add_parser(name)
-            p.add_argument("--blocks", required=True)
-            p.add_argument("--lambda", help=LAMBDA_HELP)
-            p.add_argument("--r0", type=int, help="1-based distinguished block (default: first maximal)")
-            p.add_argument(
-                "--chi",
-                help="character exponents 'a1,a2', e.g. '-1,1' (default: minimal parities)",
-            )
-            if name == "verify":
-                p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
-                               help=f"cone bound for the degree check (default {DEFAULT_BOUND})")
-                p.add_argument("--json", action="store_true", help="full JSON report")
-            p.set_defaults(func=fn)
-
-    if command in (None, "convergence"):
-        p_conv = sub.add_parser("convergence", help="convergence certificates")
-        csub = p_conv.add_subparsers(dest="subcommand", required=True)
-        p_check = csub.add_parser("check")
-        p_check.add_argument("--blocks", required=True)
-        p_check.add_argument("--lax", action="store_true", help="literal stable-range index range")
-        p_check.set_defaults(func=cmd_convergence_check)
-
-    if command in (None, "atlas"):
-        p_atlas = sub.add_parser("atlas", help="classification table for one signature")
-        p_atlas.add_argument("--a", type=int, required=True)
-        p_atlas.add_argument("--b", type=int, required=True)
-        p_atlas.add_argument("--format", choices=("json", "tsv"), default="json")
-        p_atlas.add_argument("--out", help="write to a file instead of stdout")
-        p_atlas.add_argument("--lax", action="store_true")
-        p_atlas.set_defaults(func=cmd_atlas)
-
+    _add_options(parser, (META,))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help, *body) in GRAMMAR.items():
+        if isinstance(body[0], dict):
+            group = sub.add_parser(command, help=help).add_subparsers(dest="subcommand", required=True)
+            for name, leaf in body[0].items():
+                _add_command(group, name, *leaf)
+        else:
+            _add_command(sub, command, help, *body)
     return parser
+
+
+def _read_plain(argv: List[str]) -> Optional[SimpleNamespace]:
+    """What argparse makes of argv, read off GRAMMAR, when argv has the
+    plain form: an optional leading --meta, the command (and subcommand),
+    then exact option names, each at most once, as "--name=value" or as
+    "--name value" with a value that starts with no "-", and every required
+    option.  Any other argv gives None and is left to argparse."""
+    meta = argv[:1] == [META[0]]
+    tokens = argv[meta:]
+    entry = GRAMMAR.get(tokens[0]) if tokens else None
+    if entry is None:
+        return None
+    values = {META[0][2:]: meta, "command": tokens.pop(0)}
+    if isinstance(entry[1], dict):
+        entry = entry[1].get(tokens[0]) if tokens else None
+        if entry is None:
+            return None
+        values["subcommand"] = tokens.pop(0)
+    _, handler, options = entry
+    kinds = {option[0]: option[1] for option in options}
+    given = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        kind = kinds.get(name)
+        if kind is None or name in given or (kind is FLAG and eq):
+            return None
+        if kind is FLAG:
+            value = True
+        elif not eq:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif isinstance(kind, tuple) and value not in kind:
+            return None
+        given[name] = value
+    for name, _, default, required, _ in options:
+        if required and name not in given:
+            return None
+        values[name[2:]] = given.get(name, default)
+    return SimpleNamespace(**values, func=handler)
 
 
 def _abbreviates(arg: str, option: str) -> bool:
@@ -289,14 +369,7 @@ def _wants_meta(argv: List[str]) -> bool:
     """Whether --meta (or an abbreviation argparse accepts) comes before
     the subcommand; read off the raw argv so that usage errors report too."""
     top = takewhile(lambda arg: arg.startswith("-"), argv)
-    return any(_abbreviates(arg, "--meta") for arg in top)
-
-
-def _command(argv: List[str]) -> Optional[str]:
-    """The command argv names, when nothing but --meta comes before it; else
-    None (help, an unknown word, no word), which needs the whole tree."""
-    word = next(dropwhile(lambda arg: _abbreviates(arg, "--meta"), argv), None)
-    return word if word in COMMANDS else None
+    return any(_abbreviates(arg, META[0]) for arg in top)
 
 
 def _attach_values(argv: List[str]) -> List[str]:
@@ -306,7 +379,7 @@ def _attach_values(argv: List[str]) -> List[str]:
     out: List[str] = []
     for arg in argv:
         if (out and INTEGER_LIST.fullmatch(arg)
-                and (_abbreviates(out[-1], "--lambda") or _abbreviates(out[-1], "--chi"))):
+                and (_abbreviates(out[-1], _LAMBDA[0]) or _abbreviates(out[-1], _CHI[0]))):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -322,7 +395,8 @@ def run(argv: Optional[List[str]] = None) -> int:
 
     counts = {}  # what a command counted, for --meta
     try:
-        args = build_parser(_command(argv)).parse_args(_attach_values(argv))
+        attached = _attach_values(argv)
+        args = _read_plain(attached) or build_parser().parse_args(attached)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help, and ignores a failed write
         code = exc.code if isinstance(exc.code, int) else 2
