@@ -7,6 +7,12 @@ table, GRAMMAR: a well-formed argv is read straight off it, and the argparse
 tree built from it reads every other argv and writes all help and usage
 errors.  Output is deterministic: the same argv gives byte-identical
 stdout, whatever the environment.
+`main()`, the entry point of the `aql` script and of `python -m aql.cli`,
+flushes stdout and stderr and ends the process with `os._exit`: the kernel
+reclaims the process at once, where interpreter teardown would free every
+module and object one at a time (a few milliseconds per run), and no
+`atexit` hook runs.  Library callers and tests call `run()`, which returns
+the exit code and never ends the process.
 Exit codes: 0 success / verified, 1 a verification returned false,
 2 invalid input or a failed write, 3 internal error (an unexpected exception).
 """
@@ -14,6 +20,7 @@ Exit codes: 0 success / verified, 1 a verification returned false,
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 import re
 import sys
@@ -30,6 +37,7 @@ from .parabolic import (
     ThetaStableAlgebra,
     _as_lambda,
     _check_frame,
+    _ints,
     _standard_count,
     cohomological_degree,
     enumerate_packet,
@@ -48,6 +56,8 @@ INTEGER_LIST = re.compile(r"-?\d+(,-?\d+)*")
 def _write(chunks: Iterable[str], out: Optional[str] = None) -> None:
     """Write the text chunks one at a time to stdout, or to the file `out`;
     a failed write is bad input, but a reader that stops early is not."""
+    if not out and sys.stdout is None:  # fd 1 was closed when the process started
+        raise ValueError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     try:
         with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
             fh.writelines(chunks)
@@ -68,10 +78,13 @@ def _to_devnull(stream) -> None:
     os.close(devnull)
 
 
-def _note(text: str, stream=None) -> None:
-    """Write text to stderr (or `stream`) and flush it; a reader that has gone
-    is no error, so the command keeps its own exit code."""
-    stream = stream or sys.stderr
+def _note(text: str, name: str = "stderr") -> None:
+    """Write text to sys.stderr (or the sys stream `name`) and flush it; a
+    reader that has gone, or an fd closed when the process started, is no
+    error, so the command keeps its own exit code."""
+    stream = getattr(sys, name)
+    if stream is None:
+        return
     try:
         stream.write(text)
         stream.flush()
@@ -95,21 +108,10 @@ def _json_list(items) -> Iterator[str]:
     yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
-def _ints(option: str, text: str) -> List[int]:
-    """The comma-separated integers of `text`, given to `option`."""
-    values = []
-    for entry in text.split(","):
-        try:
-            values.append(int(entry))
-        except ValueError:
-            raise ValueError(f"{option}: non-integer {entry!r} in {text!r}") from None
-    return values
-
-
 def _parse_lambda(text: Optional[str], q: ThetaStableAlgebra) -> LambdaCharacter:
     if text is None:
         return _as_lambda(q, None)
-    return _as_lambda(q, _ints("--lambda", text) if text.strip() else ())
+    return _as_lambda(q, _ints(text, "--lambda: ") if text.strip() else ())
 
 
 def _parse_chi(text: Optional[str]):
@@ -117,7 +119,7 @@ def _parse_chi(text: Optional[str]):
         return None
     if text.count(",") != 1:
         raise ValueError(f"--chi expects 'a1,a2', got {text!r}")
-    return tuple(_ints("--chi", text))
+    return tuple(_ints(text, "--chi: "))
 
 
 def cmd_partitions_enumerate(args) -> int:
@@ -400,7 +402,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help, and ignores a failed write
         code = exc.code if isinstance(exc.code, int) else 2
-        _note("", sys.stdout)
+        _note("", "stdout")
         _note("")
         stages = {"parse_s": since_start()}
     else:
@@ -425,7 +427,14 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run sys.argv, flush stdout and stderr where they exist, and end the
+    process with os._exit: teardown would only free what the kernel
+    reclaims anyway.  Only for a process of its own; callers that go on
+    running call `run()`."""
+    code = run()
+    _note("", "stdout")
+    _note("")
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -151,6 +151,18 @@ def _source_algebra(q: ThetaStableAlgebra, r0: int) -> ThetaStableAlgebra:
     return ThetaStableAlgebra._trusted(blocks, signature)
 
 
+def _ints(text: str, label: str = "") -> List[int]:
+    """The comma-separated integers of `text`; a non-integer entry raises
+    ValueError naming it and `text`, after `label`."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(int(entry))
+        except ValueError:
+            raise ValueError(f"{label}non-integer {entry!r} in {text!r}") from None
+    return values
+
+
 class LambdaCharacter(Frozen):
     """Differential of a unitary character of the Levi: one integer per block."""
 
@@ -169,7 +181,7 @@ class LambdaCharacter(Frozen):
         text = text.strip()
         if not text:
             return cls(())
-        return cls(int(v) for v in text.split(","))
+        return cls(_ints(text))
 
     def to_json(self) -> list:
         return list(self.values)

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from importlib import resources
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
+from aql import cli
 from aql.cli import _attach_values, _read_plain, build_parser, run
 from aql.convergence import atlas
 from aql.parabolic import ThetaStableAlgebra
@@ -451,13 +453,21 @@ def test_a_reader_closed_before_the_first_byte_leaves_the_exit_code(argv, exit_c
     assert (proc.returncode, err) == (exit_code, b"")
 
 
-# a run whose packet command raises an unexpected exception: the `internal error:` line
+# code that patches `c`, the aql.cli module, before a run: the packet
+# command raises an unexpected exception (the `internal error:` line), and
+# `lift verify` reads its K-type check as false (exit 1)
+BREAK_PACKET = "def broken(q, lam): raise RuntimeError('boom')\nc.enumerate_packet = broken\n"
+FAIL_LIFT = (
+    "real_report = c.full_report\n"
+    "def failing(*args):\n"
+    "    report = real_report(*args)\n"
+    "    object.__setattr__(report, 'ktype_ok', False)\n"
+    "    return report\n"
+    "c.full_report = failing\n"
+)
 BROKEN_PACKET = (
     "-c",
-    "import sys, aql.cli as c\n"
-    "def broken(q, lam): raise RuntimeError('boom')\n"
-    "c.enumerate_packet = broken\n"
-    "sys.exit(c.run(sys.argv[1:]))",
+    "import sys, aql.cli as c\n" + BREAK_PACKET + "sys.exit(c.run(sys.argv[1:]))",
     "packet", "--blocks", "1,0;0,1",
 )
 STDERR_LINES = {
@@ -502,6 +512,51 @@ def test_stdout_on_a_full_disk_exits_two(argv):
                               text=True, timeout=60)
     assert done.returncode == 2
     assert done.stderr == "error: cannot write stdout: No space left on device\n"
+
+
+def spawn_with_closed_fd(cmd, fd):
+    """The exit code of `cmd` started with fd `fd` (1 or 2) closed, as
+    `aql ... >&-` or `2>&-` does, and the text it writes to the other one."""
+    with tempfile.TemporaryFile() as other:
+        actions = [(os.POSIX_SPAWN_CLOSE, fd), (os.POSIX_SPAWN_DUP2, other.fileno(), 3 - fd)]
+        pid = os.posix_spawn(cmd[0], cmd, SRC_ENV, file_actions=actions)
+        _, status = os.waitpid(pid, 0)
+        other.seek(0)
+        return os.waitstatus_to_exitcode(status), other.read().decode()
+
+
+def test_a_closed_stdout_is_a_failed_write(capsys, tmp_path):
+    """With fd 1 closed at start Python sets sys.stdout to None: a command
+    that writes stdout exits 2 with one `error:` line, not 3, and one that
+    writes --out or only help and usage errors keeps its exit code."""
+    bad_fd = "error: cannot write stdout: Bad file descriptor\n"
+    for argv in (("aq", "--blocks", "1,1"), ("convergence", "check", "--blocks", "1,1;1,1")):
+        assert spawn_with_closed_fd(aql(*argv), 1) == (2, bad_fd), argv
+        code, err = spawn_with_closed_fd(aql("--meta", *argv), 1)
+        first, meta = err.splitlines(keepends=True)
+        assert (code, first, json.loads(meta)["exit"]) == (2, bad_fd, 2), argv
+    target = tmp_path / "table.tsv"
+    argv = ("atlas", "--a", "2", "--b", "1", "--format", "tsv")
+    assert spawn_with_closed_fd(aql(*argv, "--out", str(target)), 1) == (0, "")
+    assert target.read_text() == run_cli(capsys, *argv)[1]
+    assert spawn_with_closed_fd(aql("--help"), 1)[0] == 0
+    assert spawn_with_closed_fd(aql("aq"), 1)[0] == 2
+
+
+def test_a_closed_stderr_leaves_the_exit_code(capsys):
+    """With fd 2 closed at start Python sets sys.stderr to None: the
+    `error:`, `internal error:` and --meta lines are dropped, stdout is
+    unchanged and each run keeps its exit code, not 1 from a traceback."""
+    for argv, code in (
+        (("aq", "--blocks", "1,1"), 0),
+        (("--meta", "aq", "--blocks", "1,1"), 0),
+        (("convergence", "check", "--blocks", "1,1;1,1"), 1),
+        (("aq", "--blocks", "x"), 2),
+    ):
+        assert spawn_with_closed_fd(aql(*argv), 2) == (code, run_cli(capsys, *argv)[1]), argv
+    assert spawn_with_closed_fd([sys.executable, *BROKEN_PACKET], 2) == (3, "")
+    assert spawn_with_closed_fd(aql("--help"), 2)[0] == 0
+    assert spawn_with_closed_fd(aql("aq"), 2)[0] == 2  # argparse prints its usage line to stdout
 
 
 def test_partitions_enumerate_has_the_bytes_of_one_dump(capsys):
@@ -712,6 +767,54 @@ def test_the_plain_reader_reads_argv_as_argparse_does(tmp_path, monkeypatch):
     assert "{" + ",".join(commands) + "}" in out.splitlines()[0]
     listed = re.findall(r"^    (\w+) ", out, re.MULTILINE)
     assert tuple(listed) == commands, out
+
+
+def through_main(argv, setup=""):
+    """A child that runs `setup` on `c` (aql.cli), registers an atexit hook
+    that writes to stderr and then calls `c.main()` with argv."""
+    code = ("import atexit, sys, aql.cli as c\n" + setup
+            + "atexit.register(sys.stderr.write, 'atexit hook ran\\n')\nc.main()\n")
+    return [sys.executable, "-c", code, *argv]
+
+
+def _untimed(err):
+    return re.sub(r'"(elapsed_s|parse_s|command_s)": [^,}]+', r'"\1": 0', err)
+
+
+MAIN_CASES = {
+    **{f"golden-{i}": (argv, "", 0) for i, argv in enumerate(GOLDEN_ARGV)},
+    "lift-false": (("lift", "verify", "--blocks", "1,0;1,1"), FAIL_LIFT, 1),
+    "value-error": (("aq", "--blocks", "x"), "", 2),
+    "usage": (("aq",), "", 2),
+    "help": (("--help",), "", 0),
+    "meta": (("--meta", "aq", "--blocks", "1,0;1,1;0,1", "--lambda", "2,1,0"), "", 0),
+    "internal-error": (BROKEN_PACKET[2:], BREAK_PACKET, 3),
+}
+
+
+@pytest.mark.parametrize("argv, setup, exit_code", MAIN_CASES.values(), ids=MAIN_CASES.keys())
+def test_main_ends_the_process_with_the_output_of_run(argv, setup, exit_code, monkeypatch):
+    """`main()` ends its process with os._exit after a flush: exit code,
+    stdout and stderr (the --meta line without its timings) are those of
+    run() in this process, and an atexit hook never runs."""
+    done = subprocess.run(through_main(argv, setup), env=SRC_ENV, capture_output=True, text=True,
+                          timeout=60)
+    for name in ("enumerate_packet", "full_report"):  # so that monkeypatch undoes `setup`
+        monkeypatch.setattr(cli, name, getattr(cli, name))
+    exec(setup, {"c": cli})
+    code, out, err = _run_all(argv)
+    assert code == exit_code
+    assert (done.returncode, done.stdout, _untimed(done.stderr)) == (code, out, _untimed(err))
+    assert "atexit hook ran" not in done.stderr
+
+
+def test_main_writes_atlas_out_with_the_bytes_of_stdout(tmp_path, capsys):
+    target = tmp_path / "table.json"
+    argv = ("atlas", "--a", "2", "--b", "2", "--lax")
+    done = subprocess.run(through_main((*argv, "--out", str(target))), env=SRC_ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == run_cli(capsys, *argv)[1]
 
 
 # runs that write no JSON, and one that does

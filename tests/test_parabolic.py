@@ -109,6 +109,17 @@ def test_unparse_joins_the_blocks_and_parses_back():
         assert ThetaStableAlgebra.parse(q.unparse()) == q
 
 
+def test_lambda_character_parse_names_a_non_integer_entry():
+    """`LambdaCharacter.parse` reads what `aql --lambda` reads, and a
+    non-integer entry gets the CLI's message without its option prefix."""
+    assert LambdaCharacter.parse(" 2,1,-1 ") == LambdaCharacter([2, 1, -1])
+    assert LambdaCharacter.parse(" ") == LambdaCharacter(())
+    for text, entry in (("1,x", "x"), ("1.5", "1.5"), ("1,,0", ""), ("2,1,", "")):
+        with pytest.raises(ValueError) as exc:
+            LambdaCharacter.parse(text)
+        assert str(exc.value) == f"non-integer {entry!r} in {text!r}"
+
+
 def test_canonical_form():
     assert alg((1, 0), (1, 0)).canonicalize() == alg((2, 0))
     assert alg((0, 1), (0, 2)).canonicalize() == alg((0, 3))
